@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"xspcl/internal/hinch"
-	"xspcl/internal/hinch/trace"
 )
 
 // cancelAt is a FaultInjector that never injects faults; it fires a
@@ -50,14 +49,7 @@ func (c *cancelAt) Inject(task string, iter, attempt int) hinch.Fault {
 // for event-driven ones); records are duplicate-free; and at least
 // Iterations records exist (a counted iteration ran its sink job).
 func CheckCancelled(seed uint64, opt Options) error {
-	if len(opt.Workers) == 0 {
-		opt.Workers = []int{1, 2, 4, 8}
-	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
+	opt = opt.withDefaults()
 	g, err := Generate(seed)
 	if err != nil {
 		return err
@@ -66,48 +58,47 @@ func CheckCancelled(seed uint64, opt Options) error {
 	if n < 4 {
 		// Too short to cancel mid-run meaningfully; the complete-run
 		// battery (Check) already covers it.
-		logf("seed %d: only %d iterations, skipping cancellation battery", seed, n)
+		opt.Logf("seed %d: only %d iterations, skipping cancellation battery", seed, n)
 		return nil
 	}
 	target := n / 2
-	logf("seed %d: cancelling at sink iteration %d of %d (depth=%d cells=%d events=%v)",
+	opt.Logf("seed %d: cancelling at sink iteration %d of %d (depth=%d cells=%d events=%v)",
 		seed, target, n, g.Depth, g.NCells, g.HasEvents)
 
 	// Sim determinism: five runs, each with a fresh context cancelled
 	// in-band at the same schedule point, must agree byte-for-byte on
 	// both the observation canon and the exported trace.
 	var first *Observation
-	var firstTrace []byte
-	for run := 0; run < 5; run++ {
+	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		inj := &cancelAt{task: g.SinkName, iter: target, cancel: cancel}
-		obs, outcome, tr, err := runCancelledOnce(g, hinch.BackendSim, 3, ctx, inj, nil, true)
+		obs, err := run(g.target(g.Prog), hinch.BackendSim, 3, runOpts{ctx: ctx, faults: inj, traced: true})
 		cancel()
 		if err != nil {
-			return fmt.Errorf("seed %d: sim cancel run %d: %w", seed, run, err)
+			return fmt.Errorf("seed %d: sim cancel run %d: %w", seed, i, err)
 		}
-		if outcome != hinch.OutcomeCancelled {
-			return fmt.Errorf("seed %d: sim cancel run %d: outcome %q, want cancelled", seed, run, outcome)
+		if obs.Outcome != hinch.OutcomeCancelled {
+			return fmt.Errorf("seed %d: sim cancel run %d: outcome %q, want cancelled", seed, i, obs.Outcome)
 		}
 		if obs.Iterations >= n {
-			return fmt.Errorf("seed %d: sim cancel run %d: processed %d of %d iterations despite midpoint cancel", seed, run, obs.Iterations, n)
+			return fmt.Errorf("seed %d: sim cancel run %d: processed %d of %d iterations despite midpoint cancel", seed, i, obs.Iterations, n)
 		}
-		if run == 0 {
-			first, firstTrace = obs, tr
+		if i == 0 {
+			first = obs
 			continue
 		}
 		if a, b := first.canon(), obs.canon(); a != b {
-			return fmt.Errorf("seed %d: cancelled sim runs diverged (run 0 vs %d):\n--- run 0 ---\n%s--- run %d ---\n%s", seed, run, a, run, b)
+			return fmt.Errorf("seed %d: cancelled sim runs diverged (run 0 vs %d):\n--- run 0 ---\n%s--- run %d ---\n%s", seed, i, a, i, b)
 		}
-		if !bytes.Equal(firstTrace, tr) {
-			return fmt.Errorf("seed %d: cancelled sim trace diverged between run 0 (%d bytes) and run %d (%d bytes)", seed, len(firstTrace), run, len(tr))
+		if !bytes.Equal(first.Trace, obs.Trace) {
+			return fmt.Errorf("seed %d: cancelled sim trace diverged between run 0 (%d bytes) and run %d (%d bytes)", seed, len(first.Trace), i, len(obs.Trace))
 		}
 	}
 	if err := verifyCancelled(g, first); err != nil {
 		return fmt.Errorf("seed %d: sim cancelled: %w", seed, err)
 	}
-	logf("seed %d: sim cancelled at %d/%d iterations, 5 runs byte-identical (%d trace bytes)",
-		seed, first.Iterations, n, len(firstTrace))
+	opt.Logf("seed %d: sim cancelled at %d/%d iterations, 5 runs byte-identical (%d trace bytes)",
+		seed, first.Iterations, n, len(first.Trace))
 
 	// Real backend: a wall-clock cancel races the run. The delay is a
 	// pure function of (seed, workers), so a failing combination
@@ -122,13 +113,13 @@ func CheckCancelled(seed uint64, opt Options) error {
 		delay := time.Duration(mix(seed, uint64(w))%2000) * time.Microsecond
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(delay, cancel)
-		obs, outcome, _, err := runCancelledOnce(g, hinch.BackendReal, w, ctx, nil, hooks, false)
+		obs, err := run(g.target(g.Prog), hinch.BackendReal, w, runOpts{ctx: ctx, hooks: hooks})
 		timer.Stop()
 		cancel()
 		if err != nil {
 			return fmt.Errorf("seed %d: real/%dw cancel: %w", seed, w, err)
 		}
-		if outcome == hinch.OutcomeCompleted {
+		if obs.Outcome == hinch.OutcomeCompleted {
 			// The run won the race; it must look like any complete run.
 			if err := verify(g, obs); err != nil {
 				return fmt.Errorf("seed %d: real/%dw (completed before cancel): %w", seed, w, err)
@@ -136,75 +127,10 @@ func CheckCancelled(seed uint64, opt Options) error {
 		} else if err := verifyCancelled(g, obs); err != nil {
 			return fmt.Errorf("seed %d: real/%dw cancelled: %w", seed, w, err)
 		}
-		logf("seed %d: real/%dw cancel after %v: outcome=%s iters=%d/%d sink=%d",
-			seed, w, delay, outcome, obs.Iterations, n, len(obs.Sink))
+		opt.Logf("seed %d: real/%dw cancel after %v: outcome=%s iters=%d/%d sink=%d",
+			seed, w, delay, obs.Outcome, obs.Iterations, n, len(obs.Sink))
 	}
 	return nil
-}
-
-// runCancelledOnce is runOnce's cancellation twin: it drives the run
-// through RunContext and returns the partial observation, the report's
-// outcome, and (when traced) the full Perfetto export. The recorded
-// trace is validated against the partial report first — span tiling
-// and the span-count/Jobs identity must survive cancellation.
-func runCancelledOnce(g *Gen, backend hinch.Backend, cores int, ctx context.Context, inj hinch.FaultInjector, hooks hinch.TestHooks, traced bool) (obs *Observation, outcome hinch.Outcome, traceJSON []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			obs, err = nil, fmt.Errorf("runtime panic: %v", r)
-		}
-	}()
-	name := "sim"
-	if backend == hinch.BackendReal {
-		name = "real"
-	}
-	cfg := hinch.Config{
-		Backend:        backend,
-		Cores:          cores,
-		PipelineDepth:  g.Depth,
-		StreamCapacity: g.StreamCap,
-		Hooks:          hooks,
-		Faults:         inj,
-	}
-	var rec *trace.Recorder
-	if traced {
-		rec = trace.New(0)
-		cfg.Tracer = rec
-	}
-	app, err := hinch.NewApp(g.Prog, Registry(), cfg)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	rep, err := app.RunContext(ctx, g.Iters)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	if rec != nil {
-		if err := trace.Validate(rec, rep); err != nil {
-			return nil, "", nil, fmt.Errorf("trace: %w", err)
-		}
-		var buf bytes.Buffer
-		if err := rec.WritePerfetto(&buf); err != nil {
-			return nil, "", nil, fmt.Errorf("trace export: %w", err)
-		}
-		traceJSON = buf.Bytes()
-	}
-	snk, ok := app.Component(g.SinkName).(*csink)
-	if !ok {
-		return nil, "", nil, fmt.Errorf("sink %q missing after run", g.SinkName)
-	}
-	obs = &Observation{
-		Backend:    name,
-		Workers:    cores,
-		Iterations: rep.Iterations,
-		Sink:       snk.records(),
-		Reconfigs:  rep.Reconfigs,
-	}
-	for _, rn := range g.Reconfs {
-		if c, ok := app.Component(rn).(*creconf); ok {
-			obs.Requests = append(obs.Requests, len(c.requests()))
-		}
-	}
-	return obs, rep.Outcome, traceJSON, nil
 }
 
 // verifyCancelled judges a partial observation. A cancelled run makes

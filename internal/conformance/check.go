@@ -1,6 +1,8 @@
 package conformance
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -35,16 +37,33 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Observation is everything externally visible about one run: how many
-// iterations were processed, the per-iteration sink hashes, and the
-// reconfiguration activity.
+// withDefaults fills the worker list and a no-op logger.
+func (o Options) withDefaults() Options {
+	if len(o.Workers) == 0 {
+		o.Workers = []int{1, 2, 4, 8}
+	}
+	if o.Logf == nil {
+		o.Logf = func(string, ...any) {}
+	}
+	return o
+}
+
+// Observation is everything externally visible about one run: how it
+// ended, how many iterations were processed, the per-iteration sink
+// hashes, the reconfiguration and fault-tolerance activity, and (for
+// traced runs) the Perfetto export of the recorded trace.
 type Observation struct {
-	Backend    string
-	Workers    int
-	Iterations int
-	Sink       []SinkRec
-	Reconfigs  int
-	Requests   []int // delivered request count per creconf instance
+	Backend      string
+	Workers      int
+	Outcome      hinch.Outcome
+	Iterations   int
+	Sink         []SinkRec
+	Reconfigs    int
+	Requests     []int // delivered request count per creconf instance
+	Faults       int64
+	Retries      int64
+	Degradations int64
+	Trace        []byte // Perfetto export; nil unless traced
 }
 
 // canon renders the observation parts that must be identical across
@@ -52,11 +71,66 @@ type Observation struct {
 // the emit→parse round-tripped program).
 func (o *Observation) canon() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "iters=%d reconfigs=%d reqs=%v\n", o.Iterations, o.Reconfigs, o.Requests)
+	fmt.Fprintf(&b, "iters=%d reconfigs=%d faults=%d retries=%d degradations=%d reqs=%v\n",
+		o.Iterations, o.Reconfigs, o.Faults, o.Retries, o.Degradations, o.Requests)
 	for _, r := range o.Sink {
 		fmt.Fprintf(&b, "%d:%016x\n", r.Iter, r.H)
 	}
 	return b.String()
+}
+
+// target is what a run needs to know about one generated program: the
+// program itself, the pipeline shape its family runs it at, and where
+// to read the results.
+type target struct {
+	prog      *graph.Program
+	depth     int // Config.PipelineDepth
+	streamCap int // Config.StreamCapacity
+	iters     int // Run argument
+	sink      string
+	reconfs   []string // creconf instances whose requests are observed
+}
+
+func (g *Gen) target(prog *graph.Program) target {
+	return target{prog: prog, depth: g.Depth, streamCap: g.StreamCap, iters: g.Iters, sink: g.SinkName, reconfs: g.Reconfs}
+}
+
+func (g *FaultyGen) target(prog *graph.Program) target {
+	return target{prog: prog, depth: g.Depth, streamCap: 2, iters: g.Iters, sink: "snk"}
+}
+
+// runOpts are the per-run switches the families use.
+type runOpts struct {
+	hooks  hinch.TestHooks     // schedule perturbation; nil = none
+	faults hinch.FaultInjector // fault injection (or an in-band cancel); nil = none
+	ctx    context.Context     // run under RunContext; nil = plain Run
+	// traced attaches the flight recorder; the trace is validated
+	// against the report and exported into Observation.Trace.
+	traced bool
+	// tune runs the autotuner (resizing replica widths and stream
+	// depths mid-run); the observation must be unaffected.
+	tune bool
+	// observe hammers App.Snapshot from a second goroutine for the
+	// whole run; the observation must be unaffected and no lock-free
+	// read may trip the race detector.
+	observe bool
+}
+
+// roundTrip emits prog as XML and parses it back; the reparsed program
+// must print identically to the built one.
+func roundTrip(prog *graph.Program) (*graph.Program, error) {
+	xml, err := xspcl.EmitXML(prog)
+	if err != nil {
+		return nil, fmt.Errorf("emit: %w", err)
+	}
+	prog2, err := xspcl.Load(xml)
+	if err != nil {
+		return nil, fmt.Errorf("reparse emitted XML: %w", err)
+	}
+	if a, b := prog.String(), prog2.String(); a != b {
+		return nil, fmt.Errorf("emit/parse round-trip changed the program:\n--- built ---\n%s\n--- reparsed ---\n%s", a, b)
+	}
+	return prog2, nil
 }
 
 // perturb implements hinch.TestHooks: a seed-derived schedule
@@ -104,19 +178,12 @@ func (p *perturb) StealSeed(worker int) uint64 {
 // worker count vs. oracle. Any divergence is returned as an error
 // prefixed with the seed, so CONFORMANCE_SEED=<n> replays it exactly.
 func Check(seed uint64, opt Options) error {
-	if len(opt.Workers) == 0 {
-		opt.Workers = []int{1, 2, 4, 8}
-	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
+	opt = opt.withDefaults()
 	g, err := Generate(seed)
 	if err != nil {
 		return err
 	}
-	logf("seed %d: iters=%d frames=%d depth=%d cap=%d cells=%d opts=%d trigs=%d multi=%v",
+	opt.Logf("seed %d: iters=%d frames=%d depth=%d cap=%d cells=%d opts=%d trigs=%d multi=%v",
 		seed, g.Iters, g.Frames, g.Depth, g.StreamCap, g.NCells, len(g.Options), len(g.Triggers), g.MultiSource)
 
 	// Static-analyzer precheck: the generator only builds live programs,
@@ -137,106 +204,112 @@ func Check(seed uint64, opt Options) error {
 	if errs := rep.ErrorsByPass(analysis.PassFormats); len(errs) > 0 {
 		return fmt.Errorf("seed %d: formats pass flagged a format-free generated program: %s", seed, errs[0].Message)
 	}
+	return battery{
+		label:  fmt.Sprintf("seed %d", seed),
+		seed:   seed,
+		target: g.target,
+		prog:   g.Prog,
+		verify: func(o *Observation) error { return verify(g, o) },
+	}.run(opt)
+}
 
-	// Round-trip: the emitted XML must parse back to the same tree.
-	xml, err := xspcl.EmitXML(g.Prog)
-	if err != nil {
-		return fmt.Errorf("seed %d: emit: %w", seed, err)
-	}
-	prog2, err := xspcl.Load(xml)
-	if err != nil {
-		return fmt.Errorf("seed %d: reparse emitted XML: %w", seed, err)
-	}
-	if a, b := g.Prog.String(), prog2.String(); a != b {
-		return fmt.Errorf("seed %d: emit/parse round-trip changed the program:\n--- built ---\n%s\n--- reparsed ---\n%s", seed, a, b)
-	}
+// battery is the differential check every complete-run family shares:
+// the emit→parse round-trip; sim on the built and on the round-tripped
+// program, whose canons must agree (the sim backend is deterministic,
+// so the runs agree on every observable, including event and
+// reconfiguration order) and which the oracle must accept; then the
+// real backend at every worker count against the oracle, under
+// seed-derived schedule perturbation when Options.Perturb is set.
+type battery struct {
+	label  string                      // error prefix, e.g. "seed 7"
+	seed   uint64                      // perturbation seed
+	salt   []uint64                    // mixed into the hook seed after the worker count
+	target func(*graph.Program) target // the family's run shape for a program
+	prog   *graph.Program              // the built program
+	tune   bool                        // run the autotuner
+	faults hinch.FaultInjector         // the family's injection schedule; nil = none
+	verify func(o *Observation) error  // the family's oracle
+}
 
-	// Sim twice — once on the built program, once on the round-tripped
-	// one. The sim backend is deterministic, so the runs must agree on
-	// every observable, including event/reconfiguration order.
-	sim, err := runOnce(g, g.Prog, hinch.BackendSim, 3, nil, opt.Trace, false, false)
+func (b battery) run(opt Options) error {
+	prog2, err := roundTrip(b.prog)
 	if err != nil {
-		return fmt.Errorf("seed %d: sim: %w", seed, err)
+		return fmt.Errorf("%s: %w", b.label, err)
 	}
-	sim2, err := runOnce(g, prog2, hinch.BackendSim, 3, nil, opt.Trace, false, false)
+	o := runOpts{faults: b.faults, traced: opt.Trace, tune: b.tune}
+	sim, err := run(b.target(b.prog), hinch.BackendSim, 3, o)
 	if err != nil {
-		return fmt.Errorf("seed %d: sim(round-tripped): %w", seed, err)
+		return fmt.Errorf("%s: sim: %w", b.label, err)
 	}
-	if a, b := sim.canon(), sim2.canon(); a != b {
-		return fmt.Errorf("seed %d: sim runs diverged between built and round-tripped program:\n--- built ---\n%s--- round-tripped ---\n%s", seed, a, b)
+	sim2, err := run(b.target(prog2), hinch.BackendSim, 3, o)
+	if err != nil {
+		return fmt.Errorf("%s: sim(round-tripped): %w", b.label, err)
 	}
-	if err := verify(g, sim); err != nil {
-		return fmt.Errorf("seed %d: sim: %w", seed, err)
+	if a, c := sim.canon(), sim2.canon(); a != c {
+		return fmt.Errorf("%s: sim runs diverged between built and round-tripped program:\n--- built ---\n%s--- round-tripped ---\n%s", b.label, a, c)
 	}
-
+	if err := b.verify(sim); err != nil {
+		return fmt.Errorf("%s: sim: %w", b.label, err)
+	}
 	for _, w := range opt.Workers {
-		var hooks hinch.TestHooks
+		o.hooks = nil
 		if opt.Perturb {
-			hooks = &perturb{seed: mix(seed, uint64(w))}
+			o.hooks = &perturb{seed: mix(append([]uint64{b.seed, uint64(w)}, b.salt...)...)}
 		}
-		real, err := runOnce(g, g.Prog, hinch.BackendReal, w, hooks, opt.Trace, false, false)
+		real, err := run(b.target(b.prog), hinch.BackendReal, w, o)
 		if err != nil {
-			return fmt.Errorf("seed %d: real/%dw: %w", seed, w, err)
+			return fmt.Errorf("%s: real/%dw: %w", b.label, w, err)
 		}
-		if err := verify(g, real); err != nil {
-			return fmt.Errorf("seed %d: real/%dw: %w", seed, w, err)
+		if err := b.verify(real); err != nil {
+			return fmt.Errorf("%s: real/%dw: %w", b.label, w, err)
 		}
-		logf("seed %d: real/%dw ok (%d sink records, %d reconfigs)", seed, w, len(real.Sink), real.Reconfigs)
+		opt.Logf("%s: real/%dw ok (%d sink records, reconfigs=%d faults=%d retries=%d degradations=%d)",
+			b.label, w, len(real.Sink), real.Reconfigs, real.Faults, real.Retries, real.Degradations)
 	}
 	return nil
 }
 
-// runOnce executes prog once on the given backend and collects the
+// run executes one target once on the given backend and collects the
 // observation. Every run gets a fresh registry: conformance component
-// instances hold per-run state. With traced set, the flight recorder
-// rides along and the recorded trace is validated against the report
-// before the observation is returned. With tune set, the autotuner runs
-// (resizing replica widths and stream depths mid-run); the observation
-// must be unaffected, which is exactly what CheckReplicated asserts.
-func runOnce(g *Gen, prog *graph.Program, backend hinch.Backend, cores int, hooks hinch.TestHooks, traced, tune, observe bool) (obs *Observation, err error) {
+// instances hold per-run state.
+func run(t target, backend hinch.Backend, cores int, o runOpts) (obs *Observation, err error) {
 	defer func() {
 		// The runtime surfaces dependency violations as panics (e.g.
 		// Stream.slotFor on an unacquired iteration, or a nil-payload
-		// type assertion in a component that ran before its producer).
-		// Convert them into check failures so the harness reports the
-		// seed instead of crashing the fuzzer.
+		// type assertion in a component that ran before its producer),
+		// and an escaped panic means fault containment failed. Convert
+		// them into check failures so the harness reports the seed
+		// instead of crashing the fuzzer.
 		if r := recover(); r != nil {
 			obs, err = nil, fmt.Errorf("runtime panic: %v", r)
 		}
 	}()
-	name := "sim"
-	if backend == hinch.BackendReal {
-		name = "real"
-	}
 	cfg := hinch.Config{
 		Backend:        backend,
 		Cores:          cores,
-		PipelineDepth:  g.Depth,
-		StreamCapacity: g.StreamCap,
-		Hooks:          hooks,
-		Autotune:       tune,
-		Telemetry:      observe,
+		PipelineDepth:  t.depth,
+		StreamCapacity: t.streamCap,
+		Hooks:          o.hooks,
+		Faults:         o.faults,
+		Autotune:       o.tune,
+		Telemetry:      o.observe,
 	}
-	if tune && backend == hinch.BackendReal {
+	if o.tune && backend == hinch.BackendReal {
 		// Tick fast so even short perturbed runs see live resizes.
 		cfg.TuneEpochWall = 200 * time.Microsecond
 	}
 	var rec *trace.Recorder
-	if traced {
+	if o.traced {
 		rec = trace.New(0)
 		cfg.Tracer = rec // conditional: a typed-nil Tracer would defeat the nil check
 	}
-	app, err := hinch.NewApp(prog, Registry(), cfg)
+	app, err := hinch.NewApp(t.prog, Registry(), cfg)
 	if err != nil {
 		return nil, err
 	}
 	var snapStop chan struct{}
 	var snapDone chan int
-	if observe {
-		// Hammer App.Snapshot from a second goroutine for the whole
-		// run: the observed run's sink output must stay bit-identical
-		// to an unobserved one, and none of the lock-free reads may
-		// trip the race detector.
+	if o.observe {
 		snapStop = make(chan struct{})
 		snapDone = make(chan int, 1)
 		go func() {
@@ -256,31 +329,49 @@ func runOnce(g *Gen, prog *graph.Program, backend hinch.Backend, cores int, hook
 			}
 		}()
 	}
-	rep, err := app.Run(g.Iters)
-	if observe {
+	ctx := o.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	rep, err := app.RunContext(ctx, t.iters)
+	if o.observe {
 		close(snapStop)
 		<-snapDone
 	}
 	if err != nil {
 		return nil, err
 	}
+	obs = &Observation{
+		Backend:      "sim",
+		Workers:      cores,
+		Outcome:      rep.Outcome,
+		Iterations:   rep.Iterations,
+		Reconfigs:    rep.Reconfigs,
+		Faults:       rep.Faults,
+		Retries:      rep.Retries,
+		Degradations: rep.Degradations,
+	}
+	if backend == hinch.BackendReal {
+		obs.Backend = "real"
+	}
 	if rec != nil {
+		// Span tiling and the span-count/Jobs identity must hold on
+		// every run, cancelled ones included.
 		if err := trace.Validate(rec, rep); err != nil {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
+		var buf bytes.Buffer
+		if err := rec.WritePerfetto(&buf); err != nil {
+			return nil, fmt.Errorf("trace export: %w", err)
+		}
+		obs.Trace = buf.Bytes()
 	}
-	snk, ok := app.Component(g.SinkName).(*csink)
+	snk, ok := app.Component(t.sink).(*csink)
 	if !ok {
-		return nil, fmt.Errorf("sink %q missing after run", g.SinkName)
+		return nil, fmt.Errorf("sink %q missing after run", t.sink)
 	}
-	obs = &Observation{
-		Backend:    name,
-		Workers:    cores,
-		Iterations: rep.Iterations,
-		Sink:       snk.records(),
-		Reconfigs:  rep.Reconfigs,
-	}
-	for _, rn := range g.Reconfs {
+	obs.Sink = snk.records()
+	for _, rn := range t.reconfs {
 		if c, ok := app.Component(rn).(*creconf); ok {
 			obs.Requests = append(obs.Requests, len(c.requests()))
 		}

@@ -193,7 +193,7 @@ func TestOracleMatchesSim(t *testing.T) {
 			continue
 		}
 		checked++
-		obs, err := runOnce(g, g.Prog, hinch.BackendSim, 2, nil, false, false, false)
+		obs, err := run(g.target(g.Prog), hinch.BackendSim, 2, runOpts{})
 		if err != nil {
 			t.Fatalf("seed %d: sim: %v", seed, err)
 		}
@@ -218,11 +218,11 @@ func TestConformanceSnapshotSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		plain, err := runOnce(g, g.Prog, hinch.BackendSim, 3, nil, false, false, false)
+		plain, err := run(g.target(g.Prog), hinch.BackendSim, 3, runOpts{})
 		if err != nil {
 			t.Fatalf("seed %d: sim: %v", seed, err)
 		}
-		observed, err := runOnce(g, g.Prog, hinch.BackendSim, 3, nil, false, false, true)
+		observed, err := run(g.target(g.Prog), hinch.BackendSim, 3, runOpts{observe: true})
 		if err != nil {
 			t.Fatalf("seed %d: sim observed: %v", seed, err)
 		}
@@ -231,7 +231,7 @@ func TestConformanceSnapshotSmoke(t *testing.T) {
 		}
 
 		hooks := &perturb{seed: mix(seed, 8)}
-		real, err := runOnce(g, g.Prog, hinch.BackendReal, 8, hooks, false, false, true)
+		real, err := run(g.target(g.Prog), hinch.BackendReal, 8, runOpts{hooks: hooks, observe: true})
 		if err != nil {
 			t.Fatalf("seed %d: real observed: %v", seed, err)
 		}

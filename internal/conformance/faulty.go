@@ -7,7 +7,6 @@ import (
 	"xspcl/internal/analysis"
 	"xspcl/internal/graph"
 	"xspcl/internal/hinch"
-	"xspcl/internal/xspcl"
 )
 
 // This file extends the differential harness with fault injection: a
@@ -175,19 +174,12 @@ func GenerateFaulty(seed uint64) (*FaultyGen, error) {
 // worker count against the degradation oracle. Any divergence is
 // returned as an error prefixed with the seed.
 func CheckFaulty(seed uint64, opt Options) error {
-	if len(opt.Workers) == 0 {
-		opt.Workers = []int{1, 2, 4, 8}
-	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
+	opt = opt.withDefaults()
 	g, err := GenerateFaulty(seed)
 	if err != nil {
 		return err
 	}
-	logf("faulty seed %d: mode=%s from=%d retries=%d depth=%d iters=%d",
+	opt.Logf("faulty seed %d: mode=%s from=%d retries=%d depth=%d iters=%d",
 		seed, g.Mode, g.From, g.Retries, g.Depth, g.Iters)
 
 	// The generator builds exactly the shape the faults pass demands, so
@@ -203,88 +195,17 @@ func CheckFaulty(seed uint64, opt Options) error {
 		return fmt.Errorf("faulty seed %d: %d reachable configurations, want 2", seed, nc)
 	}
 
-	// Round-trip: on_error/deadline must survive emit→parse.
-	xml, err := xspcl.EmitXML(g.Prog)
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: emit: %w", seed, err)
-	}
-	prog2, err := xspcl.Load(xml)
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: reparse emitted XML: %w", seed, err)
-	}
-	if a, b := g.Prog.String(), prog2.String(); a != b {
-		return fmt.Errorf("faulty seed %d: emit/parse round-trip changed the program:\n--- built ---\n%s\n--- reparsed ---\n%s", seed, a, b)
-	}
-
-	rep1, recs1, err := runFaultyOnce(g, g.Prog, hinch.BackendSim, 3)
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: sim: %w", seed, err)
-	}
-	if err := verifyFaulty(g, rep1, recs1); err != nil {
-		return fmt.Errorf("faulty seed %d: sim: %w", seed, err)
-	}
-	rep2, recs2, err := runFaultyOnce(g, prog2, hinch.BackendSim, 3)
-	if err != nil {
-		return fmt.Errorf("faulty seed %d: sim(round-tripped): %w", seed, err)
-	}
-	if a, b := faultyCanon(rep1, recs1), faultyCanon(rep2, recs2); a != b {
-		return fmt.Errorf("faulty seed %d: sim runs diverged between built and round-tripped program:\n--- built ---\n%s--- round-tripped ---\n%s", seed, a, b)
-	}
-
-	for _, w := range opt.Workers {
-		rep, recs, err := runFaultyOnce(g, g.Prog, hinch.BackendReal, w)
-		if err != nil {
-			return fmt.Errorf("faulty seed %d: real/%dw: %w", seed, w, err)
-		}
-		if err := verifyFaulty(g, rep, recs); err != nil {
-			return fmt.Errorf("faulty seed %d: real/%dw: %w", seed, w, err)
-		}
-		logf("faulty seed %d: real/%dw ok (faults=%d retries=%d degradations=%d reconfigs=%d)",
-			seed, w, rep.Faults, rep.Retries, rep.Degradations, rep.Reconfigs)
-	}
-	return nil
-}
-
-// runFaultyOnce executes prog once with the generated injection
-// schedule attached and collects the report and sink records.
-func runFaultyOnce(g *FaultyGen, prog *graph.Program, backend hinch.Backend, cores int) (rep *hinch.Report, recs []SinkRec, err error) {
-	defer func() {
-		// An escaped panic means containment failed — report it as a
-		// check failure carrying the seed, not a harness crash.
-		if r := recover(); r != nil {
-			rep, recs, err = nil, nil, fmt.Errorf("runtime panic: %v", r)
-		}
-	}()
-	cfg := hinch.Config{
-		Backend:        backend,
-		Cores:          cores,
-		PipelineDepth:  g.Depth,
-		StreamCapacity: 2,
-		Faults:         g.Injector,
-	}
-	app, err := hinch.NewApp(prog, Registry(), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err = app.Run(g.Iters)
-	if err != nil {
-		return nil, nil, err
-	}
-	snk, ok := app.Component("snk").(*csink)
-	if !ok {
-		return nil, nil, fmt.Errorf("sink missing after run")
-	}
-	return rep, snk.records(), nil
-}
-
-// faultyCanon renders everything deterministic runs must agree on.
-func faultyCanon(rep *hinch.Report, recs []SinkRec) string {
-	s := fmt.Sprintf("iters=%d reconfigs=%d faults=%d retries=%d degradations=%d\n",
-		rep.Iterations, rep.Reconfigs, rep.Faults, rep.Retries, rep.Degradations)
-	for _, r := range recs {
-		s += fmt.Sprintf("%d:%016x\n", r.Iter, r.H)
-	}
-	return s
+	// The battery's round-trip also proves on_error/deadline survive
+	// emit→parse.
+	return battery{
+		label:  fmt.Sprintf("faulty seed %d", seed),
+		seed:   seed,
+		salt:   []uint64{0xfa},
+		target: g.target,
+		prog:   g.Prog,
+		faults: g.Injector,
+		verify: func(o *Observation) error { return verifyFaulty(g, o) },
+	}.run(opt)
 }
 
 // verifyFaulty judges one run against the degradation oracle.
@@ -304,7 +225,7 @@ func faultyCanon(rep *hinch.Report, recs []SinkRec) string {
 // Retries = holes·R, Degradations = holes. Deadline mode holes
 // nothing: the overrun outputs stand, so [0, t) are primary hashes and
 // Degradations counts exactly the overrun iterations [From, t).
-func verifyFaulty(g *FaultyGen, rep *hinch.Report, recs []SinkRec) error {
+func verifyFaulty(g *FaultyGen, obs *Observation) error {
 	const (
 		stHole = iota
 		stPrimary
@@ -312,7 +233,7 @@ func verifyFaulty(g *FaultyGen, rep *hinch.Report, recs []SinkRec) error {
 	)
 	state := make([]int, g.Iters)
 	seen := map[int]bool{}
-	for _, r := range recs {
+	for _, r := range obs.Sink {
 		if r.Iter < 0 || r.Iter >= g.Iters {
 			return fmt.Errorf("sink recorded out-of-range iteration %d (run is %d iterations)", r.Iter, g.Iters)
 		}
@@ -368,11 +289,11 @@ func verifyFaulty(g *FaultyGen, rep *hinch.Report, recs []SinkRec) error {
 		}
 	}
 
-	if want := g.Iters - holes; rep.Iterations != want {
-		return fmt.Errorf("processed %d iterations, want %d (%d holes)", rep.Iterations, want, holes)
+	if want := g.Iters - holes; obs.Iterations != want {
+		return fmt.Errorf("processed %d iterations, want %d (%d holes)", obs.Iterations, want, holes)
 	}
-	if rep.Reconfigs != 1 {
-		return fmt.Errorf("reconfigs = %d, want 1 (residual fault events must be no-ops)", rep.Reconfigs)
+	if obs.Reconfigs != 1 {
+		return fmt.Errorf("reconfigs = %d, want 1 (residual fault events must be no-ops)", obs.Reconfigs)
 	}
 	var wantFaults, wantRetries, wantDegr int64
 	switch g.Mode {
@@ -386,9 +307,9 @@ func verifyFaulty(g *FaultyGen, rep *hinch.Report, recs []SinkRec) error {
 	case FaultyDeadline:
 		wantDegr = int64(t - g.From)
 	}
-	if rep.Faults != wantFaults || rep.Retries != wantRetries || rep.Degradations != wantDegr {
+	if obs.Faults != wantFaults || obs.Retries != wantRetries || obs.Degradations != wantDegr {
 		return fmt.Errorf("counters faults=%d retries=%d degradations=%d, want %d/%d/%d (mode %s, %d holes, flip %d)",
-			rep.Faults, rep.Retries, rep.Degradations, wantFaults, wantRetries, wantDegr, g.Mode, holes, t)
+			obs.Faults, obs.Retries, obs.Degradations, wantFaults, wantRetries, wantDegr, g.Mode, holes, t)
 	}
 	return nil
 }

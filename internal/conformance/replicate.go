@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"xspcl/internal/graph"
-	"xspcl/internal/hinch"
-	"xspcl/internal/xspcl"
 )
 
 // This file is the replicated-program conformance family: it reuses the
@@ -66,14 +64,7 @@ func GenerateReplicated(seed uint64) (*Gen, error) {
 // count vs. oracle with the autotuner live — widths and stream depths
 // resize mid-run while the output must stay bit-identical.
 func CheckReplicated(seed uint64, opt Options) error {
-	if len(opt.Workers) == 0 {
-		opt.Workers = []int{1, 2, 4, 8}
-	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
+	opt = opt.withDefaults()
 	g, err := GenerateReplicated(seed)
 	if err != nil {
 		return err
@@ -84,53 +75,15 @@ func CheckReplicated(seed uint64, opt Options) error {
 			nrep++
 		}
 	}
-	logf("seed %d (replicated): iters=%d frames=%d depth=%d cap=%d replicated=%d",
+	opt.Logf("seed %d (replicated): iters=%d frames=%d depth=%d cap=%d replicated=%d",
 		seed, g.Iters, g.Frames, g.Depth, g.StreamCap, nrep)
-
-	// Round-trip: replicate= must survive emit→parse unchanged.
-	xml, err := xspcl.EmitXML(g.Prog)
-	if err != nil {
-		return fmt.Errorf("seed %d: emit: %w", seed, err)
-	}
-	prog2, err := xspcl.Load(xml)
-	if err != nil {
-		return fmt.Errorf("seed %d: reparse emitted XML: %w", seed, err)
-	}
-	if a, b := g.Prog.String(), prog2.String(); a != b {
-		return fmt.Errorf("seed %d: replicated round-trip changed the program:\n--- built ---\n%s\n--- reparsed ---\n%s", seed, a, b)
-	}
-
-	// Sim with the autotuner engaged, twice (built and round-tripped
-	// program): deterministic, and the oracle must hold regardless of
-	// what the tuner resized.
-	sim, err := runOnce(g, g.Prog, hinch.BackendSim, 3, nil, opt.Trace, true, false)
-	if err != nil {
-		return fmt.Errorf("seed %d: replicated sim: %w", seed, err)
-	}
-	sim2, err := runOnce(g, prog2, hinch.BackendSim, 3, nil, opt.Trace, true, false)
-	if err != nil {
-		return fmt.Errorf("seed %d: replicated sim(round-tripped): %w", seed, err)
-	}
-	if a, b := sim.canon(), sim2.canon(); a != b {
-		return fmt.Errorf("seed %d: replicated sim runs diverged between built and round-tripped program:\n--- built ---\n%s--- round-tripped ---\n%s", seed, a, b)
-	}
-	if err := verify(g, sim); err != nil {
-		return fmt.Errorf("seed %d: replicated sim: %w", seed, err)
-	}
-
-	for _, w := range opt.Workers {
-		var hooks hinch.TestHooks
-		if opt.Perturb {
-			hooks = &perturb{seed: mix(seed, uint64(w), 0x5e)}
-		}
-		real, err := runOnce(g, g.Prog, hinch.BackendReal, w, hooks, opt.Trace, true, false)
-		if err != nil {
-			return fmt.Errorf("seed %d: replicated real/%dw: %w", seed, w, err)
-		}
-		if err := verify(g, real); err != nil {
-			return fmt.Errorf("seed %d: replicated real/%dw: %w", seed, w, err)
-		}
-		logf("seed %d: replicated real/%dw ok (%d sink records)", seed, w, len(real.Sink))
-	}
-	return nil
+	return battery{
+		label:  fmt.Sprintf("seed %d (replicated)", seed),
+		seed:   seed,
+		salt:   []uint64{0x5e},
+		target: g.target,
+		prog:   g.Prog,
+		tune:   true,
+		verify: func(o *Observation) error { return verify(g, o) },
+	}.run(opt)
 }

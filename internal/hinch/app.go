@@ -580,7 +580,7 @@ func (a *App) Run(iterations int) (*Report, error) {
 // Cancellation is cooperative: the sim backend observes it at one fixed
 // point per event-loop turn (a virtual-cycle boundary, so a cancel
 // raised from inside the simulation is fully deterministic), the real
-// backend through a watcher goroutine joined before RunContext returns,
+// backend through its control goroutine, joined before RunContext returns,
 // plus the interruptible retry-backoff and injected-delay sleeps.
 func (a *App) RunContext(ctx context.Context, iterations int) (*Report, error) {
 	if a.ran {

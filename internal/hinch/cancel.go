@@ -24,14 +24,15 @@ package hinch
 //     across repeats. A cancel raised from another goroutine is still
 //     honoured at the next boundary, just not reproducibly placed.
 //   - real: every worker probes the done channel at its dispatch
-//     boundary (pollCancelReal, loop top of runWorker), so a cancel
-//     takes effect within one job per worker; a watcher goroutine
-//     (joined before runReal returns, so a cancelled run leaks
-//     nothing) backstops the case where all workers are parked or
-//     deep in long components. Retry-backoff and injected-delay
-//     sleeps select on the same channel (sleepInterruptible), so a
-//     worker parked in a policy backoff wakes immediately instead of
-//     serving out a sleep nobody will consume.
+//     boundary (pollCancel, loop top of runWorker), so a cancel takes
+//     effect within one job per worker; the cancel arm of the control
+//     goroutine (control.go; joined before runReal returns, so a
+//     cancelled run leaks nothing) backstops the case where all
+//     workers are parked or deep in long components. Retry-backoff
+//     and injected-delay sleeps select on the same channel
+//     (sleepInterruptible), so a worker parked in a policy backoff
+//     wakes immediately instead of serving out a sleep nobody will
+//     consume.
 
 import "time"
 
@@ -43,44 +44,30 @@ func (e *engine) noteCancel() {
 	if e.cancelled.Swap(true) {
 		return
 	}
-	if e.stopLaunch < 0 || e.nextLaunch < e.stopLaunch {
-		e.stopLaunch = e.nextLaunch
+	if next := int(e.nextLaunch.Load()); e.stopLaunch < 0 || next < e.stopLaunch {
+		e.stopLaunch = next
 	}
 	e.eachIter(func(it *iterState) {
 		it.cancelled.Store(true)
 	})
 }
 
-// pollCancel is the sim backend's single cancellation observation
-// point: a non-blocking probe of the run context's done channel. The
-// nil fast path keeps context-free runs at one predictable branch.
+// pollCancel is the run's cancellation observation point: a
+// non-blocking probe of the run context's done channel. The sim
+// backend calls it once per event-loop turn; the real backend at every
+// worker's dispatch boundary and around launch and teardown. The
+// common paths — no context, or already swept — are one predictable
+// branch; only the first observer of a fired context pays for the
+// lock and the sweep.
+//
+//hinch:hotpath
 func (e *engine) pollCancel() {
 	if e.ctxDone == nil || e.cancelled.Load() {
 		return
 	}
 	select {
 	case <-e.ctxDone:
-		e.noteCancel()
-	default:
-	}
-}
-
-// pollCancelReal is the real backend's per-worker observation point,
-// called at the dispatch boundary (once per loop turn in runWorker).
-// The common paths — no context, or already swept — are a single
-// predictable branch; only the first worker to observe the fired
-// context pays for the lock and the sweep.
-//
-//hinch:hotpath
-func (e *engine) pollCancelReal() {
-	if e.ctxDone == nil || e.cancelled.Load() {
-		return
-	}
-	select {
-	case <-e.ctxDone:
-		e.mu.Lock()
-		e.noteCancel()
-		e.mu.Unlock()
+		e.cancelRun()
 	default:
 	}
 }
@@ -103,11 +90,11 @@ func (e *engine) sleepInterruptible(d time.Duration) bool {
 	}
 }
 
-// abortSleep records that a policy sleep was cut short by cancellation:
-// the run is cancelled as a whole (the watcher goroutine will sweep the
-// other iterations too, but the worker must not proceed on the strength
-// of a race). Real backend only; takes mu.
-func (e *engine) abortSleep() {
+// cancelRun cancels the run under mu. Besides pollCancel, callers are
+// the control goroutine's cancel arm and a policy sleep cut short by
+// cancellation: the worker must not proceed on the strength of a race,
+// so it sweeps the whole run itself.
+func (e *engine) cancelRun() {
 	e.mu.Lock()
 	e.noteCancel()
 	e.mu.Unlock()

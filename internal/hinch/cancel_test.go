@@ -190,29 +190,37 @@ func TestRunContextCancelMidRunSimDeterministic(t *testing.T) {
 
 func TestRunContextCancelMidRunReal(t *testing.T) {
 	defer leakCheck(t)()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := Config{
-		Backend: BackendReal, Cores: 4, PipelineDepth: 6,
-		Faults: &cancelOnce{task: "snk", iter: 30, cancel: cancel},
-	}
-	app, rep := runCancelled(t, chainProg(), cfg, ctx, 5000)
-	if rep.Iterations >= 5000 {
-		t.Fatalf("run completed all iterations despite cancel")
-	}
-	sink := app.Component("snk").(*intSink)
-	seen := map[int]bool{}
-	for _, v := range sink.values() {
-		if v%2 != 0 || v/2 >= 5000 {
-			t.Fatalf("sink value %d is not a doubled iteration", v)
+	for _, controls := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := Config{
+			Backend: BackendReal, Cores: 4, PipelineDepth: 6,
+			Faults: &cancelOnce{task: "snk", iter: 30, cancel: cancel},
 		}
-		if seen[v] {
-			t.Fatalf("sink value %d recorded twice", v)
+		if controls {
+			// Every periodic control armed alongside the cancel watcher:
+			// the one control goroutine must still be joined.
+			cfg.Autotune, cfg.TuneEpochWall = true, 100*time.Microsecond
+			cfg.Telemetry, cfg.WatchdogWall = true, 100*time.Microsecond
 		}
-		seen[v] = true
-	}
-	if len(seen) < rep.Iterations {
-		t.Fatalf("sink recorded %d values, report counts %d", len(seen), rep.Iterations)
+		app, rep := runCancelled(t, chainProg(), cfg, ctx, 5000)
+		cancel()
+		if rep.Iterations >= 5000 {
+			t.Fatalf("controls=%v: run completed all iterations despite cancel", controls)
+		}
+		sink := app.Component("snk").(*intSink)
+		seen := map[int]bool{}
+		for _, v := range sink.values() {
+			if v%2 != 0 || v/2 >= 5000 {
+				t.Fatalf("controls=%v: sink value %d is not a doubled iteration", controls, v)
+			}
+			if seen[v] {
+				t.Fatalf("controls=%v: sink value %d recorded twice", controls, v)
+			}
+			seen[v] = true
+		}
+		if len(seen) < rep.Iterations {
+			t.Fatalf("controls=%v: sink recorded %d values, report counts %d", controls, len(seen), rep.Iterations)
+		}
 	}
 }
 

@@ -131,11 +131,15 @@ type engine struct {
 	ring   []atomic.Pointer[iterState]
 	nIters int // live iterations; guarded by mu
 
-	nextLaunch int
-	retireNext int // oldest iteration not yet retired; guarded by mu
-	limit      int // iterations to run; -1 = until EOS
-	stopLaunch int // first iteration index invalidated by EOS; -1 = none
-	processed  int
+	// The launch and retirement cursors and the processed count are
+	// written under mu (or by the sim goroutine) and atomic so that
+	// App.Snapshot reads them lock-free: they are the run's launched,
+	// retired and processed iteration counters.
+	nextLaunch atomic.Int64 // next iteration to launch
+	retireNext atomic.Int64 // oldest iteration not yet retired
+	processed  atomic.Int64 // iterations retired and counted
+	limit      int          // iterations to run; -1 = until EOS
+	stopLaunch int          // first iteration index invalidated by EOS; -1 = none
 
 	// ctxDone is the run context's done channel (nil when the run was
 	// started without one); cancelled records that noteCancel ran.
@@ -144,9 +148,8 @@ type engine struct {
 	ctxDone   <-chan struct{}
 	cancelled atomic.Bool
 
-	mgrs      map[string]*mgrState
-	reconfigs int
-	stall     int64
+	mgrs  map[string]*mgrState
+	stall int64
 
 	bufActive int   // iterations currently holding stream buffers
 	bufParked []job // jobs waiting for stream buffers (backpressure)
@@ -170,9 +173,18 @@ type engine struct {
 
 	tm *telemetry // live telemetry; nil unless Config.Telemetry
 
-	ready    readyQueue // sim backend: central job queue, oldest iteration first
-	perClass map[string]*ClassStats
-	err      error
+	// controls is the run's control clock: the periodic callbacks
+	// (tuner, then watchdog) in firing order (see control.go).
+	controls []control
+
+	// counts holds every per-task counter of the run, one shard of
+	// len(plan.Tasks) entries per writer: shard 0 for the sim
+	// goroutine, shard w+1 for real-backend worker w. App.Snapshot and
+	// the Report both fold it (foldCounters).
+	counts []taskCounters
+
+	ready readyQueue // sim backend: central job queue, oldest iteration first
+	err   error
 
 	// free recycles iterState allocations between iterations (guarded
 	// by mu). Safe because retirement is strictly in-order: while any
@@ -244,10 +256,10 @@ func newEngine(a *App) *engine {
 		ring:       make([]atomic.Pointer[iterState], a.cfg.PipelineDepth+2),
 		stopLaunch: -1,
 		mgrs:       map[string]*mgrState{},
-		perClass:   map[string]*ClassStats{},
 		hooks:      a.cfg.Hooks,
 	}
 	n := len(a.plan.Tasks)
+	e.counts = make([]taskCounters, e.shards()*n)
 	e.free = make([]*iterState, 0, len(e.ring))
 	for i := 0; i < len(e.ring); i++ {
 		e.free = append(e.free, &iterState{
@@ -259,7 +271,7 @@ func newEngine(a *App) *engine {
 	e.bufParked = make([]job, 0, a.cfg.PipelineDepth+1)
 	e.bufSpare = make([]job, 0, a.cfg.PipelineDepth+1)
 	if a.cfg.Backend == BackendReal {
-		e.ws = newSched(a.cfg, n)
+		e.ws = newSched(a.cfg, e.counts, n)
 	}
 	for name := range a.managers {
 		e.mgrs[name] = &mgrState{lastEntered: -1}
@@ -299,11 +311,15 @@ func newEngine(a *App) *engine {
 	}
 	if a.cfg.Autotune {
 		e.tu = newTuner(e)
+		e.addControl(e.tu.epoch, e.tuneEpoch)
 	}
 	if a.cfg.Telemetry {
 		e.tm = newTelemetry(e)
 		if e.ws != nil {
 			e.ws.tm = e.tm
+			e.addControl(int64(a.cfg.WatchdogWall), e.watchdogEpoch)
+		} else {
+			e.addControl(a.cfg.WatchdogCycles, e.watchdogEpoch)
 		}
 	}
 	for _, t := range a.plan.Tasks {
@@ -440,14 +456,38 @@ func classKey(t *graph.Task) string {
 	return t.Class
 }
 
-func (e *engine) classStats(t *graph.Task) *ClassStats {
-	key := classKey(t)
-	cs, ok := e.perClass[key]
-	if !ok {
-		cs = &ClassStats{}
-		e.perClass[key] = cs
+// shards is the number of counter and histogram shards: the engine
+// shard plus, on the real backend, one per worker.
+func (e *engine) shards() int {
+	if e.app.cfg.Backend == BackendReal {
+		return e.app.cfg.Cores + 1
 	}
-	return cs
+	return 1
+}
+
+// foldCounters folds every shard's per-task counters by class
+// (classKey), returning the per-class breakdown and the run totals.
+// Safe mid-run from any goroutine.
+func (e *engine) foldCounters() (map[string]ClassStats, ClassStats) {
+	tasks := e.app.plan.Tasks
+	per := map[string]ClassStats{}
+	var total ClassStats
+	for i := range e.counts {
+		c := &e.counts[i]
+		cs := ClassStats{
+			Jobs: c.jobs.load(), Ops: c.ops.load(), MemCycles: c.mem.load(),
+			Faults: c.failed.load(), Retries: c.retries.load(),
+		}
+		if cs == (ClassStats{}) {
+			continue
+		}
+		key := classKey(tasks[i%len(tasks)])
+		acc := per[key]
+		acc.add(cs)
+		per[key] = acc
+		total.add(cs)
+	}
+	return per, total
 }
 
 // canLaunch reports whether another iteration may enter the pipeline.
@@ -473,10 +513,11 @@ func (e *engine) canLaunch() bool {
 // moreToLaunch reports whether any future iteration remains (ignoring
 // the pipeline window).
 func (e *engine) moreToLaunch() bool {
-	if e.stopLaunch >= 0 && e.nextLaunch >= e.stopLaunch {
+	next := int(e.nextLaunch.Load())
+	if e.stopLaunch >= 0 && next >= e.stopLaunch {
 		return false
 	}
-	return e.limit < 0 || e.nextLaunch < e.limit
+	return e.limit < 0 || next < e.limit
 }
 
 // finished reports whether the run is complete. Must be called with mu
@@ -490,8 +531,7 @@ func (e *engine) finished() bool {
 // context). Must be called with mu held.
 func (e *engine) launch(w *wsWorker) {
 	for e.canLaunch() {
-		k := e.nextLaunch
-		e.nextLaunch++
+		k := int(e.nextLaunch.Add(1)) - 1
 		plan := e.app.plan
 		n := len(plan.Tasks)
 		var it *iterState
@@ -538,7 +578,6 @@ func (e *engine) launch(w *wsWorker) {
 		e.nIters++
 		if e.tm != nil {
 			it.launchTS = e.tmNow()
-			e.tm.recordIterLaunch()
 		}
 		if e.tr != nil {
 			e.tr.Emit(traceShard(w), TraceEvent{
@@ -677,11 +716,11 @@ func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
 // strictly covers. Must be called with mu held.
 func (e *engine) retireSweep(w *wsWorker) {
 	for {
-		it := e.iterAt(e.retireNext)
+		it := e.iterAt(int(e.retireNext.Load()))
 		if it == nil || it.left.Load() != 0 {
 			return
 		}
-		e.retireNext++
+		e.retireNext.Add(1)
 		e.retire(it, w)
 	}
 }
@@ -719,10 +758,10 @@ func (e *engine) retire(it *iterState, w *wsWorker) {
 	}
 	counted := !it.cancelled.Load()
 	if counted {
-		e.processed++
+		e.processed.Add(1)
 	}
 	if e.tm != nil {
-		e.tm.recordIterRetire(e.tmNow()-it.launchTS, counted)
+		e.tm.iterLat.record(e.tmNow() - it.launchTS)
 	}
 	if e.tr != nil {
 		var arg int64
@@ -1120,7 +1159,6 @@ func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (*reconfi
 		e.app.cfg.ReconfigPerTaskCycles*int64(nChanged) +
 		e.app.cfg.CreateOpsPerComponent*int64(created)
 	e.stall += stall
-	e.reconfigs++
 	e.app.metrics.reconfigs.Add(1)
 	if e.tr != nil {
 		e.tr.Emit(traceShard(w), TraceEvent{
@@ -1202,7 +1240,7 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 					// Cancelled mid-spike: skip the attempt entirely —
 					// the iteration is cancelled, the job completes as a
 					// no-op and the pipeline drains.
-					e.abortSleep()
+					e.cancelRun()
 					return out
 				}
 				f = Fault{}
@@ -1240,7 +1278,7 @@ func (e *engine) runPolicied(rc *RunContext, j job, inst *instance, sim bool) ru
 				// so it must not count in Report.Retries. The failed
 				// attempt above already counted as a fault; the job
 				// completes as a no-op of its (now cancelled) iteration.
-				e.abortSleep()
+				e.cancelRun()
 				return out
 			}
 			out.retries++
@@ -1341,24 +1379,23 @@ func (e *engine) handleRunError(j job, err error) {
 // report assembles the final Report. Must be called after execution has
 // fully stopped.
 func (e *engine) report() *Report {
+	per, total := e.foldCounters()
 	r := &Report{
 		Outcome:       OutcomeCompleted,
-		Iterations:    e.processed,
-		Jobs:          e.app.metrics.jobs.Load(),
+		Iterations:    int(e.processed.Load()),
+		Jobs:          total.Jobs,
 		Cores:         e.app.cfg.Cores,
-		PerClass:      map[string]ClassStats{},
-		Reconfigs:     e.reconfigs,
+		PerClass:      per,
+		Reconfigs:     int(e.app.metrics.reconfigs.Load()),
 		ReconfigStall: e.stall,
 		EventsEmitted: e.app.metrics.eventsEmitted.Load(),
+		Faults:        total.Faults,
+		Retries:       total.Retries,
+		Degradations:  e.app.metrics.degradations.Load(),
+		Sched:         e.schedStats(),
 	}
 	if e.cancelled.Load() {
 		r.Outcome = OutcomeCancelled
-	}
-	r.Degradations = e.app.metrics.degradations.Load()
-	for k, v := range e.perClass {
-		r.PerClass[k] = *v
-		r.Faults += v.Faults
-		r.Retries += v.Retries
 	}
 	if e.app.tile != nil {
 		r.Cache = e.app.tile.Stats()
@@ -1369,7 +1406,7 @@ func (e *engine) report() *Report {
 	}
 	if e.tm != nil {
 		r.Stalls = e.tm.stalls.Load()
-		il := stageLat("iteration", e.tm.retiredAll.Load(), e.tm.iterLat.snap())
+		il := stageLat("iteration", e.retireNext.Load(), e.tm.iterLat.snap())
 		r.IterLat = &il
 		for _, t := range e.app.plan.Tasks {
 			h := e.tm.stageHist(t.ID)

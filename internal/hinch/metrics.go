@@ -20,8 +20,16 @@ type ClassStats struct {
 	Retries   int64 `json:"retries"`    // re-attempts made under a retry policy
 }
 
+func (c *ClassStats) add(o ClassStats) {
+	c.Jobs += o.Jobs
+	c.Ops += o.Ops
+	c.MemCycles += o.MemCycles
+	c.Faults += o.Faults
+	c.Retries += o.Retries
+}
+
 // SchedStats aggregates the real backend's work-stealing scheduler
-// actions, merged from the per-worker shards when the run stops.
+// actions, merged from the per-worker shards.
 type SchedStats struct {
 	// StealAttempts counts scans for remote work (a worker's own deque
 	// came up empty).
@@ -283,13 +291,61 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// metrics collects counters during a run; atomic so the real backend's
-// workers can update concurrently.
+// counter is the run's one counting primitive: a single-writer atomic.
+// Only its owning goroutine adds to it — a plain load and store, no
+// read-modify-write — while any goroutine may read it mid-run, so
+// App.Snapshot and the end-of-run Report read the same counters.
+type counter struct{ v atomic.Int64 }
+
+//hinch:hotpath
+func (c *counter) add(n int64) { c.v.Store(c.v.Load() + n) }
+
+func (c *counter) load() int64 { return c.v.Load() }
+
+// taskCounters is one shard's counters for one task, folded into
+// ClassStats by class. Padded to a cache line so that neighbouring
+// shards' writers never share one.
+type taskCounters struct {
+	jobs, ops, mem, failed, retries counter
+	_                               [24]byte
+}
+
+// schedCounters is one worker's shard of SchedStats.
+type schedCounters struct {
+	stealAttempts counter // calls to sched.steal (local deque was empty)
+	steals        counter // jobs taken from another worker's deque
+	globalPops    counter // jobs taken from the global overflow queue
+	parks         counter // times this worker blocked waiting for work
+	wakes         counter // idle workers this worker unparked
+	batches       counter // multi-job batch publishes (pushBatch calls)
+	chained       counter // jobs run straight off the chain, bypassing the deques
+}
+
+// schedStats folds the workers' scheduler counters. Safe mid-run; zero
+// on the sim backend.
+func (e *engine) schedStats() SchedStats {
+	var ss SchedStats
+	if e.ws == nil {
+		return ss
+	}
+	for _, w := range e.ws.workers {
+		c := &w.ctr
+		ss.StealAttempts += c.stealAttempts.load()
+		ss.Steals += c.steals.load()
+		ss.GlobalPops += c.globalPops.load()
+		ss.Parks += c.parks.load()
+		ss.Wakes += c.wakes.load()
+		ss.Batches += c.batches.load()
+		ss.Chained += c.chained.load()
+	}
+	ss.Wakes += e.ws.extWakes.Load()
+	return ss
+}
+
+// metrics collects the App-level event counters; atomic so the real
+// backend's workers can update concurrently.
 type metrics struct {
-	jobs          atomic.Int64
 	eventsEmitted atomic.Int64
 	degradations  atomic.Int64
-	// reconfigs mirrors engine.reconfigs (guarded by mu) so App.Snapshot
-	// can read it lock-free mid-run.
-	reconfigs atomic.Int64
+	reconfigs     atomic.Int64 // applied reconfigurations; written under mu
 }

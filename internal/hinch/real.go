@@ -38,87 +38,20 @@ func (e *engine) runReal() (*Report, error) {
 		e.ws.spawn = spawn
 	}
 
+	// A context cancelled before the run starts launches nothing:
+	// noteCancel caps stopLaunch at zero, so the pre-cancelled case
+	// deterministically processes zero iterations on this backend too,
+	// not just on sim.
+	e.pollCancel()
 	e.mu.Lock()
-	if e.ctxDone != nil {
-		// A context cancelled before the run starts launches nothing:
-		// noteCancel caps stopLaunch at zero, so the pre-cancelled case
-		// deterministically processes zero iterations on this backend
-		// too, not just on sim.
-		select {
-		case <-e.ctxDone:
-			e.noteCancel()
-		default:
-		}
-	}
 	e.launch(nil)
 	e.mu.Unlock()
 
-	// The cancellation watcher mirrors the tuner/watchdog tickers: one
-	// goroutine, stopped and joined before runReal returns, so a
-	// cancelled run leaks nothing. The sweep itself rides the engine
-	// lock like every other slow path.
-	var cnStop, cnDone chan struct{}
-	if e.ctxDone != nil {
-		cnStop, cnDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(cnDone)
-			select {
-			case <-e.ctxDone:
-				// The sweep creates no new work — it only turns queued
-				// jobs into no-ops — so no parked worker needs waking:
-				// work already queued has had its wake, and workers
-				// sleeping in a policy backoff watch ctxDone themselves.
-				e.mu.Lock()
-				e.noteCancel()
-				e.mu.Unlock()
-			case <-cnStop:
-			}
-		}()
-	}
-
-	// The autotuner samples on a wall-clock ticker, under the engine
-	// lock — resizes ride the same slow path as reconfigurations.
-	var tuStop, tuDone chan struct{}
-	if e.tu != nil {
-		tuStop, tuDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(tuDone)
-			tick := time.NewTicker(time.Duration(e.tu.epoch))
-			defer tick.Stop()
-			for {
-				select {
-				case <-tuStop:
-					return
-				case <-tick.C:
-					e.mu.Lock()
-					e.tuneEpoch()
-					e.mu.Unlock()
-				}
-			}
-		}()
-	}
-
-	// The stalled-progress watchdog samples retirement progress on its
-	// own wall-clock ticker, under the engine lock like the tuner's.
-	var wdStop, wdDone chan struct{}
-	if e.tm != nil {
-		wdStop, wdDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(wdDone)
-			tick := time.NewTicker(e.tm.wdWall)
-			defer tick.Stop()
-			for {
-				select {
-				case <-wdStop:
-					return
-				case <-tick.C:
-					e.mu.Lock()
-					e.watchdogEpoch()
-					e.mu.Unlock()
-				}
-			}
-		}()
-	}
+	// The control goroutine — periodic tuner and watchdog epochs plus
+	// the cancellation watcher — is the one goroutine besides the
+	// workers; it is joined before the tracer ends, since its callbacks
+	// emit trace events.
+	stopControl := e.startControl()
 
 	if e.ws.eager {
 		for _, w := range e.ws.workers {
@@ -131,62 +64,14 @@ func (e *engine) runReal() (*Report, error) {
 		e.runWorker(e.ws.workers[0])
 	}
 	wg.Wait()
-	if cnStop != nil {
-		close(cnStop)
-		<-cnDone
-		// If the context fired while the watcher raced run teardown, the
-		// select above may have taken the stop arm without sweeping.
-		// Nothing is left to sweep — execution stopped — but the report
-		// must still say cancelled when a policy sleep was aborted, and
-		// a cancel that lost the race against natural completion is
-		// recorded too (either outcome would have been valid; claiming
-		// the one the caller asked for is the consistent choice).
-		select {
-		case <-e.ctxDone:
-			e.mu.Lock()
-			e.noteCancel()
-			e.mu.Unlock()
-		default:
-		}
-	}
-	if e.tu != nil {
-		// Stopped before the tracer ends: tuneEpoch emits trace events.
-		close(tuStop)
-		<-tuDone
-	}
-	if e.tm != nil {
-		// Same ordering: watchdogEpoch can emit a TraceStall.
-		close(wdStop)
-		<-wdDone
-	}
-
-	// Fold the per-worker metric shards into the engine totals. All
-	// shard counters merge here — dropping one on the floor means the
-	// Report silently lies about scheduler behaviour.
-	var ss SchedStats
-	for _, w := range e.ws.workers {
-		e.app.metrics.jobs.Add(w.jobs)
-		ss.Steals += w.steals
-		ss.StealAttempts += w.stealAttempts
-		ss.GlobalPops += w.globalPops
-		ss.Parks += w.parks
-		ss.Wakes += w.wakes
-		ss.Batches += w.batches
-		ss.Chained += w.chained
-		for _, t := range e.app.plan.Tasks {
-			cs := &w.stats[t.ID]
-			if cs.Jobs == 0 && cs.Ops == 0 && cs.MemCycles == 0 && cs.Faults == 0 && cs.Retries == 0 {
-				continue
-			}
-			dst := e.classStats(t)
-			dst.Jobs += cs.Jobs
-			dst.Ops += cs.Ops
-			dst.MemCycles += cs.MemCycles
-			dst.Faults += cs.Faults
-			dst.Retries += cs.Retries
-		}
-	}
-	ss.Wakes += e.ws.extWakes.Load()
+	stopControl()
+	// If the context fired while the control goroutine raced run
+	// teardown, it may have been stopped without sweeping. Nothing is
+	// left to sweep — execution stopped — but a cancel that lost the
+	// race against natural completion is recorded (either outcome would
+	// have been valid; claiming the one the caller asked for is the
+	// consistent choice).
+	e.pollCancel()
 	if e.tr != nil {
 		e.tr.End()
 	}
@@ -195,7 +80,6 @@ func (e *engine) runReal() (*Report, error) {
 	}
 	rep := e.report()
 	rep.Wall = time.Since(start)
-	rep.Sched = ss
 	return rep, nil
 }
 
@@ -220,12 +104,13 @@ func (e *engine) runWorker(w *wsWorker) {
 	}
 	for {
 		if s.done.Load() {
+			w.ctr.chained.add(int64(w.chain))
 			return
 		}
 		// Dispatch-boundary cancellation probe: a fired run context is
-		// swept within one job per worker (the watcher goroutine in
-		// runReal covers workers that are parked or mid-component).
-		e.pollCancelReal()
+		// swept within one job per worker (the control goroutine's
+		// cancel arm covers workers that are parked or mid-component).
+		e.pollCancel()
 		var j job
 		var ok bool
 		if w.hasNext {
@@ -241,6 +126,7 @@ func (e *engine) runWorker(w *wsWorker) {
 						Worker: int32(w.id), Iter: -1, ID: -1, Arg: int64(w.chain + 1),
 					})
 				}
+				w.ctr.chained.add(int64(w.chain))
 				w.chain = 0
 			}
 			j, ok = w.dq.pop()
@@ -285,7 +171,6 @@ func (e *engine) flushReleases(w *wsWorker, j job) {
 				w.next = buf[i]
 				w.hasNext = true
 				w.chain++
-				w.chained++
 				e.ws.inflight.Add(1)
 				n := len(buf) - 1
 				buf[i] = buf[n]
@@ -337,8 +222,7 @@ func (e *engine) execReal(w *wsWorker, j job) {
 			return
 		}
 		e.ensureBuffers(j.iter)
-		w.jobs++
-		w.stats[j.task.ID].Jobs++
+		w.tasks[j.task.ID].jobs.add(1)
 		_, err := e.managerPoll(j)
 		e.mu.Unlock()
 		if err != nil {
@@ -386,8 +270,7 @@ func (e *engine) execReal(w *wsWorker, j job) {
 		e.failReal(err)
 		return
 	}
-	w.jobs++
-	w.stats[j.task.ID].Jobs++
+	w.tasks[j.task.ID].jobs.add(1)
 	var tuStart time.Time
 	if e.tu != nil {
 		tuStart = time.Now()
@@ -399,7 +282,6 @@ func (e *engine) execReal(w *wsWorker, j job) {
 	sample := false
 	var tmStart time.Time
 	if e.tm != nil {
-		e.tm.recordJob(w.id + 1)
 		w.tmTick++
 		if w.tmTick&tmSampleMask == 0 {
 			sample = true
@@ -422,11 +304,9 @@ func (e *engine) execReal(w *wsWorker, j job) {
 		e.tm.recordSvc(w.id+1, j.task.ID, svcDur)
 	}
 	if out.faults > 0 || out.retries > 0 {
-		w.stats[j.task.ID].Faults += out.faults
-		w.stats[j.task.ID].Retries += out.retries
-		if e.tm != nil {
-			e.tm.recordFaults(out.faults, out.retries)
-		}
+		c := &w.tasks[j.task.ID]
+		c.failed.add(out.faults)
+		c.retries.add(out.retries)
 	}
 	if e.tr != nil {
 		e.traceSpan(w, j)

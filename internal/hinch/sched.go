@@ -119,17 +119,17 @@ func (d *wsDeque) stealN(dst []job, max int) int {
 }
 
 // wsWorker is one worker goroutine's scheduler state plus its private
-// metrics shards (merged into the engine once, when the run stops,
-// instead of bouncing shared counters on every job).
+// counter shards: single-writer atomics that readers fold on demand
+// (App.Snapshot mid-run, the Report at the end) instead of bouncing
+// shared counters on every job.
 type wsWorker struct {
 	id   int
 	dq   wsDeque
 	park chan struct{} // buffered(1): a pending wake token
 	rng  uint64        // xorshift state for victim selection
 
-	jobs  int64
-	stats []ClassStats // per-task-ID shard, merged by class at run end
-	rc    RunContext   // reusable run context for this worker's jobs
+	tasks []taskCounters // this worker's shard of engine.counts, by task ID
+	rc    RunContext     // reusable run context for this worker's jobs
 
 	// relBuf collects the jobs released by the job this worker is
 	// executing; flushReleases publishes them as one batch when the job
@@ -157,20 +157,16 @@ type wsWorker struct {
 	// tmSampleShift bits are zero. Only advanced with telemetry on.
 	tmTick uint32
 
-	// Scheduler action counters, folded into Report.Sched at run end.
-	stealAttempts int64 // calls to sched.steal (local deque was empty)
-	steals        int64 // jobs taken from another worker's deque
-	globalPops    int64 // jobs taken from the global overflow queue
-	parks         int64 // times this worker blocked waiting for work
-	wakes         int64 // idle workers this worker unparked
-	batches       int64 // multi-job batch publishes (pushBatch calls)
-	chained       int64 // jobs run straight off the chain, bypassing the deques
-
 	// lastTS is the worker's cached trace timestamp: the end of its
 	// last executed job (refreshed also after a steal hit or unpark).
 	// Only maintained while a tracer is attached; secondary trace
 	// events reuse it instead of reading the clock.
 	lastTS int64
+
+	// ctr is the worker's scheduler counter shard. It comes last, and
+	// the pad after it keeps the next allocation off its cache line.
+	ctr schedCounters
+	_   [64]byte
 }
 
 // nextRand is a xorshift64 step — victim order only needs to be cheap
@@ -251,7 +247,9 @@ type sched struct {
 	tm *telemetry // live telemetry; nil unless Config.Telemetry
 }
 
-func newSched(cfg Config, nTasks int) *sched {
+// newSched builds the scheduler; worker w counts into shard w+1 of
+// counts (nTasks entries per shard).
+func newSched(cfg Config, counts []taskCounters, nTasks int) *sched {
 	n := cfg.Cores
 	hooks := cfg.Hooks
 	s := &sched{
@@ -289,7 +287,7 @@ func newSched(cfg Config, nTasks int) *sched {
 			id:    i,
 			park:  make(chan struct{}, 1),
 			rng:   seed,
-			stats: make([]ClassStats, nTasks),
+			tasks: counts[(i+1)*nTasks : (i+2)*nTasks],
 		}
 		s.workers[i].rc.shard = i + 1
 		s.workers[i].dq.buf = make([]job, 0, 64)
@@ -318,7 +316,7 @@ func (s *sched) push(w *wsWorker, j job) {
 	}
 	if s.signalWork() {
 		if w != nil {
-			w.wakes++
+			w.ctr.wakes.add(1)
 		} else {
 			s.extWakes.Add(1)
 		}
@@ -343,14 +341,14 @@ func (s *sched) pushBatch(w *wsWorker, js []job, busy bool) {
 	s.inflight.Add(int64(len(js)))
 	w.dq.pushN(js)
 	if len(js) > 1 {
-		w.batches++
+		w.ctr.batches.add(1)
 	}
 	spare := len(js)
 	if !busy {
 		spare--
 	}
 	if spare > 0 && s.signalWork() {
-		w.wakes++
+		w.ctr.wakes.add(1)
 	}
 }
 
@@ -413,10 +411,7 @@ func (s *sched) signalWork() bool {
 //
 //hinch:hotpath
 func (s *sched) steal(w *wsWorker) (job, bool) {
-	w.stealAttempts++
-	if s.tm != nil {
-		s.tm.recordStealTry()
-	}
+	w.ctr.stealAttempts.add(1)
 	n := len(s.workers)
 	start := 0
 	if !s.pinned && n > 1 {
@@ -445,14 +440,14 @@ func (s *sched) steal(w *wsWorker) (job, bool) {
 		if took == 0 {
 			continue
 		}
-		w.steals += int64(took)
+		w.ctr.steals.add(int64(took))
 		if s.tm != nil {
-			s.tm.recordSteal(int64(took))
+			s.tm.stealTake.record(int64(took))
 		}
 		if took > 1 {
 			w.dq.pushN(w.stealBuf[1:took])
 			if s.signalWork() {
-				w.wakes++
+				w.ctr.wakes.add(1)
 			}
 		}
 		if s.tr != nil {
@@ -469,10 +464,7 @@ func (s *sched) steal(w *wsWorker) (job, bool) {
 	}
 	j, ok := s.global.steal()
 	if ok {
-		w.globalPops++
-		if s.tm != nil {
-			s.tm.recordGlobalPop()
-		}
+		w.ctr.globalPops.add(1)
 		if s.tr != nil {
 			w.lastTS = int64(time.Since(s.trStart))
 			s.tr.Emit(w.id+1, TraceEvent{
@@ -533,7 +525,7 @@ func (s *sched) park(w *wsWorker) {
 // events. The post-wake refresh of the cached timestamp keeps the idle
 // gap out of the next job's span.
 func (s *sched) blockPark(w *wsWorker) {
-	w.parks++
+	w.ctr.parks.add(1)
 	var t0 time.Time
 	if s.tm != nil {
 		t0 = time.Now()
@@ -546,7 +538,7 @@ func (s *sched) blockPark(w *wsWorker) {
 	}
 	<-w.park
 	if s.tm != nil {
-		s.tm.recordPark(int64(time.Since(t0)))
+		s.tm.parkDur.record(int64(time.Since(t0)))
 	}
 	if w.woken {
 		w.woken = false

@@ -98,24 +98,10 @@ func (e *engine) runSim() (*Report, error) {
 		c := heap.Pop(&pending).(completion)
 		clock = c.at
 		e.simNow = clock
-		if e.tu != nil {
-			// Epochs fire at virtual-time boundaries, before the
-			// completion is applied, so the decision trace is a pure
-			// function of the virtual schedule — deterministic.
-			for clock >= e.tu.nextAt {
-				e.tuneEpoch()
-				e.tu.nextAt += e.tu.epoch
-			}
-		}
-		if e.tm != nil {
-			// Watchdog epochs at virtual boundaries, like the tuner's:
-			// a big clock jump (e.g. an injected delay) replays each
-			// missed epoch so stall detection stays deterministic.
-			for clock >= e.tm.wdNextAt {
-				e.watchdogEpoch()
-				e.tm.wdNextAt += e.tm.wdEpoch
-			}
-		}
+		// Periodic controls (tuner, watchdog) fire at virtual-time
+		// boundaries, before the completion is applied, so their
+		// decisions are a pure function of the virtual schedule.
+		e.fireControlsSim(clock)
 		if c.core < 0 {
 			// A reconfiguration stall elapsed: the manager's subgraph
 			// resumes and the parked iterations may enter it.
@@ -172,9 +158,8 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 		return 0, false, nil
 	}
 	cost := a.tile.Config().JobOverheadCycles
-	cs := e.classStats(j.task)
-	cs.Jobs++
-	a.metrics.jobs.Add(1)
+	cs := &e.counts[j.task.ID] // shard 0: the sim goroutine's
+	cs.jobs.add(1)
 
 	switch j.task.Role {
 	case graph.RoleManagerEntry, graph.RoleManagerExit:
@@ -182,7 +167,7 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 		if err != nil {
 			return 0, false, err
 		}
-		cs.Ops += ops
+		cs.ops.add(ops)
 		if e.tm != nil {
 			e.tm.recordSvc(0, j.task.ID, cost+ops)
 		}
@@ -210,10 +195,10 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 		for _, r := range rc.streamed {
 			mem += a.tile.AccessStreamed(core, r)
 		}
-		cs.Ops += rc.compute
-		cs.MemCycles += mem
-		cs.Faults += out.faults
-		cs.Retries += out.retries
+		cs.ops.add(rc.compute)
+		cs.mem.add(mem)
+		cs.failed.add(out.faults)
+		cs.retries.add(out.retries)
 		dur = cost + rc.compute + mem + out.virtual
 		if e.tu != nil {
 			e.tu.busy[j.task.ID].Add(dur)
@@ -222,7 +207,6 @@ func (e *engine) execJobSim(j job, core int) (dur int64, ran bool, err error) {
 			// Every sim job is recorded (virtual cycles are free to
 			// read), so the histograms are exact and deterministic.
 			e.tm.recordSvc(0, j.task.ID, dur)
-			e.tm.recordFaults(out.faults, out.retries)
 		}
 		// Cost-budget watchdog (sim): a successful job whose virtual
 		// cost overruns its deadline (1ns = 1 cycle) degrades exactly

@@ -2,17 +2,20 @@ package hinch
 
 // This file implements App.Snapshot, the lock-free mid-run state probe
 // behind /statusz and the xspcltop dashboard. Every field it reads is
-// either atomic (the telemetry mirrors, stream occupancy, replica
-// widths, the tuner's published view) or immutable after NewApp (names,
-// depths, configuration), so a snapshot never takes the engine lock and
-// never perturbs the run — safe to call from any goroutine, at any
-// rate, on either backend.
+// either atomic (the per-worker counter shards, the engine's iteration
+// cursors, the telemetry histograms, stream occupancy, replica widths,
+// the tuner's published view) or immutable after NewApp (names, depths,
+// configuration), so a snapshot never takes the engine lock and never
+// perturbs the run — safe to call from any goroutine, at any rate, on
+// either backend.
 
 // Snapshot is a point-in-time view of a running (or finished) App.
-// Counter semantics follow the Report; histogram values are virtual
+// Counters read the same shards the Report folds, so they are live on
+// both backends with or without Config.Telemetry, and equal the
+// Report's once the run has returned. Histogram values are virtual
 // cycles on the sim backend and wall nanoseconds on the real one (see
-// Units). Fields beyond the basic job/degradation counters are zero
-// unless Config.Telemetry is set.
+// Units); histograms and the watchdog fields are zero unless
+// Config.Telemetry is set.
 type Snapshot struct {
 	// Backend is "sim" or "real"; Units names the time domain of every
 	// histogram and latency value ("cycles" or "ns").
@@ -23,21 +26,21 @@ type Snapshot struct {
 	// live (Config.Telemetry).
 	Telemetry bool `json:"telemetry"`
 
-	// Progress counters (telemetry only, except Jobs/Events).
+	// Progress counters.
 	Launched  int64 `json:"launched"`  // iterations admitted
 	Retired   int64 `json:"retired"`   // iterations retired (cancelled included)
 	Processed int64 `json:"processed"` // iterations retired and counted
 	Inflight  int64 `json:"inflight"`  // Launched - Retired
-	Jobs      int64 `json:"jobs"`      // executed jobs (exact, always live)
+	Jobs      int64 `json:"jobs"`      // executed jobs
 	Events    int64 `json:"events"`    // reconfiguration events emitted
 
 	// Fault-tolerance and reconfiguration totals.
 	Faults       int64 `json:"faults"`
 	Retries      int64 `json:"retries"`
-	Degradations int64 `json:"degradations"` // exact, always live
-	Reconfigs    int64 `json:"reconfigs"`    // exact, always live
+	Degradations int64 `json:"degradations"`
+	Reconfigs    int64 `json:"reconfigs"`
 
-	// Scheduler counters (real backend, telemetry only).
+	// Scheduler counters (real backend).
 	Steals     int64 `json:"steals"`
 	StealTries int64 `json:"steal_tries"`
 	GlobalPops int64 `json:"global_pops"`
@@ -49,7 +52,7 @@ type Snapshot struct {
 	Stalls  int64 `json:"stalls"`
 
 	// Cancelled reports that the run's context fired and the pipeline
-	// is draining (or drained) early. Always live, like Jobs.
+	// is draining (or drained) early.
 	Cancelled bool `json:"cancelled"`
 
 	// IterLat is the launch->retire latency histogram; StealTake and
@@ -92,16 +95,13 @@ type StreamSnap struct {
 
 // Snapshot captures the App's live state. Safe to call from any
 // goroutine while Run executes (and before or after it); it never
-// blocks the run. Without Config.Telemetry only the always-atomic
-// counters (Jobs, Events, Degradations, Reconfigs) and the structural
-// fields are populated.
+// blocks the run.
 func (a *App) Snapshot() Snapshot {
 	e := a.eng
 	s := Snapshot{
 		Backend:      "sim",
 		Units:        "cycles",
 		Cores:        a.cfg.Cores,
-		Jobs:         a.metrics.jobs.Load(),
 		Events:       a.metrics.eventsEmitted.Load(),
 		Degradations: a.metrics.degradations.Load(),
 		Reconfigs:    a.metrics.reconfigs.Load(),
@@ -113,6 +113,16 @@ func (a *App) Snapshot() Snapshot {
 	if e == nil {
 		return s
 	}
+	// Cursors oldest first: processed <= retired <= launched holds at
+	// every instant, so reading them in this order keeps Inflight >= 0.
+	s.Processed = e.processed.Load()
+	s.Retired = e.retireNext.Load()
+	s.Launched = e.nextLaunch.Load()
+	s.Inflight = s.Launched - s.Retired
+	_, total := e.foldCounters()
+	s.Jobs, s.Faults, s.Retries = total.Jobs, total.Faults, total.Retries
+	ss := e.schedStats()
+	s.Steals, s.StealTries, s.GlobalPops, s.Parks = ss.Steals, ss.StealAttempts, ss.GlobalPops, ss.Parks
 	s.StreamCap = int(e.bufCap.Load())
 	s.Cancelled = e.cancelled.Load()
 	if e.tu != nil {
@@ -122,22 +132,6 @@ func (a *App) Snapshot() Snapshot {
 	tm := e.tm
 	if tm != nil {
 		s.Telemetry = true
-		// Mid-run on the real backend the per-worker job primaries
-		// have not folded into metrics.jobs yet; the telemetry mirror
-		// is live. Post-run both agree, so take the larger.
-		if live := tm.jobsLive(); live > s.Jobs {
-			s.Jobs = live
-		}
-		s.Launched = tm.launched.Load()
-		s.Retired = tm.retiredAll.Load()
-		s.Processed = tm.processed.Load()
-		s.Inflight = s.Launched - s.Retired
-		s.Faults = tm.faulted.Load()
-		s.Retries = tm.retries.Load()
-		s.Steals = tm.steals.Load()
-		s.StealTries = tm.stealTries.Load()
-		s.GlobalPops = tm.globalPops.Load()
-		s.Parks = tm.parks.Load()
 		s.Stalled = tm.stalled.Load()
 		s.Stalls = tm.stalls.Load()
 		il := tm.iterLat.snap()

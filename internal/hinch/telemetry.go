@@ -8,9 +8,9 @@ import (
 
 // This file implements the live telemetry subsystem: per-worker
 // histogram shards for job service time, a set of shared histograms for
-// iteration latency, stream occupancy and scheduler behaviour, mirror
-// counters for everything App.Snapshot must read mid-run, and the
-// stalled-progress watchdog behind /healthz.
+// iteration latency, stream occupancy and scheduler behaviour, and the
+// stalled-progress watchdog behind /healthz. Counters are not kept
+// here: they live once, in the engine's per-worker shards.
 //
 // Like Config.Tracer and Config.Hooks, telemetry is nil in production
 // (Config.Telemetry off) — every record site pays one predictable
@@ -18,11 +18,10 @@ import (
 // discipline: the service-time histograms are sharded per worker
 // (shard 0 for the engine/sim goroutine, shard w+1 for worker w), so a
 // record is an uncontended add into the owning worker's own shard.
-// The counters are atomic rather than plain — a deliberate deviation
-// from a fully atomic-free design — because scrapes (App.Snapshot, the
-// /metrics handler) merge the shards mid-run from arbitrary
-// goroutines; single-writer atomic adds cost within a few nanoseconds
-// of plain stores and keep every scrape race-free under -race.
+// The histogram cells are atomic rather than plain because scrapes
+// (App.Snapshot, the /metrics handler) merge the shards mid-run from
+// arbitrary goroutines; single-writer atomic adds keep every scrape
+// race-free under -race.
 //
 // Units follow the tracer's clock domains: virtual cycles on the sim
 // backend (every job is recorded, so histograms are deterministic and
@@ -163,18 +162,14 @@ func (s HistSnap) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// shardCounter is one cache-line-padded counter in a per-worker shard
-// array: single-writer adds, merged by concurrent scrapes.
-type shardCounter struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
 // telemetry is the engine's live-metrics state; nil unless
-// Config.Telemetry. Histogram layout: svc[shard*nTasks+task] is the
-// service-time shard written only by that shard's goroutine; occ,
-// iterLat and the scheduler histograms are engine-level (serialised by
-// mu or recorded at rare scheduler boundaries).
+// Config.Telemetry. It holds only histograms and the watchdog: every
+// counter lives once, in the per-worker shards (engine.counts,
+// wsWorker.ctr), which App.Snapshot reads with or without telemetry.
+// Histogram layout: svc[shard*nTasks+task] is the service-time shard
+// written only by that shard's goroutine; occ, iterLat and the
+// scheduler histograms are engine-level (serialised by mu or recorded
+// at rare scheduler boundaries).
 type telemetry struct {
 	wall   bool // real backend: values are wall ns; sim: virtual cycles
 	nTasks int
@@ -186,36 +181,15 @@ type telemetry struct {
 	stealTake hist // jobs moved per steal hit (real backend)
 	parkDur   hist // park duration in wall ns (real backend)
 
-	// jobShard mirrors the per-worker job counters live (real backend
-	// only: the primaries fold into App.metrics.jobs at run end, which
-	// would leave mid-run scrapes reading 0; the sim backend counts
-	// into App.metrics.jobs directly). One padded counter per shard so
-	// adjacent workers' adds don't share a cache line.
-	jobShard []shardCounter
-
-	// Live mirrors of counters whose primaries are plain per-worker
-	// shard fields (merged only at run end) or mu-guarded engine state.
-	launched   atomic.Int64 // iterations admitted to the pipeline
-	retiredAll atomic.Int64 // iterations retired, cancelled included
-	processed  atomic.Int64 // iterations retired and counted
-	faulted    atomic.Int64 // contained failed attempts
-	retries    atomic.Int64 // policy re-attempts
-	steals     atomic.Int64 // jobs taken from other workers' deques
-	stealTries atomic.Int64 // steal scans
-	globalPops atomic.Int64 // jobs taken from the global overflow queue
-	parks      atomic.Int64 // worker park events
-
-	// Stalled-progress watchdog: every epoch (WatchdogCycles virtual
-	// cycles on sim, WatchdogWall on real) the engine compares
-	// retiredAll against the previous epoch; wdK epochs without a
-	// retirement flip stalled (and /healthz) until progress resumes.
+	// Stalled-progress watchdog: at every watchdog control epoch
+	// (WatchdogCycles virtual cycles on sim, WatchdogWall on real) the
+	// engine compares the retired-iteration cursor against the previous
+	// epoch; wdK epochs without a retirement flip stalled (and
+	// /healthz) until progress resumes.
 	stalled  atomic.Bool
 	stalls   atomic.Int64
 	wdK      int
-	wdEpoch  int64 // sim: epoch length in virtual cycles
-	wdWall   time.Duration
-	wdNextAt int64 // sim: virtual time of the next watchdog boundary
-	wdLast   int64 // retiredAll at the previous epoch; engine-side only
+	wdLast   int64 // retired cursor at the previous epoch; engine-side only
 	wdMisses int   // consecutive epochs without progress; engine-side only
 }
 
@@ -225,43 +199,15 @@ type telemetry struct {
 // shard.
 func newTelemetry(e *engine) *telemetry {
 	a := e.app
-	shards := 1
-	wall := false
-	if a.cfg.Backend == BackendReal {
-		shards = a.cfg.Cores + 1
-		wall = true
-	}
 	n := len(a.plan.Tasks)
-	tm := &telemetry{
-		wall:   wall,
+	shards := e.shards()
+	return &telemetry{
+		wall:   a.cfg.Backend == BackendReal,
 		nTasks: n,
 		svc:    make([]hist, shards*n),
 		occ:    make([]hist, len(a.streamList)),
 		wdK:    a.cfg.WatchdogEpochs,
-		wdWall: a.cfg.WatchdogWall,
 	}
-	tm.wdEpoch = a.cfg.WatchdogCycles
-	tm.wdNextAt = tm.wdEpoch
-	if wall {
-		tm.jobShard = make([]shardCounter, shards)
-	}
-	return tm
-}
-
-// recordJob counts one executed job into the caller's shard (real
-// backend; the sim backend counts into App.metrics.jobs directly).
-//
-//hinch:hotpath
-func (tm *telemetry) recordJob(shard int) { tm.jobShard[shard].n.Add(1) }
-
-// jobsLive merges the per-shard job counts. Safe mid-run; zero when
-// the backend keeps App.metrics.jobs live itself.
-func (tm *telemetry) jobsLive() int64 {
-	var n int64
-	for i := range tm.jobShard {
-		n += tm.jobShard[i].n.Load()
-	}
-	return n
 }
 
 // recordSvc records one job's service time into the caller's shard
@@ -272,55 +218,11 @@ func (tm *telemetry) recordSvc(shard, task int, v int64) {
 	tm.svc[shard*tm.nTasks+task].record(v)
 }
 
-// recordIterLaunch notes one iteration entering the pipeline.
-func (tm *telemetry) recordIterLaunch() { tm.launched.Add(1) }
-
-// recordIterRetire records one iteration's end-to-end latency and the
-// watchdog's progress signal. counted is false for EOS-cancelled
-// iterations.
-func (tm *telemetry) recordIterRetire(lat int64, counted bool) {
-	tm.iterLat.record(lat)
-	tm.retiredAll.Add(1)
-	if counted {
-		tm.processed.Add(1)
-	}
-}
-
 // recordOcc records a stream's occupancy after a buffer acquire.
 //
 //hinch:hotpath
 func (tm *telemetry) recordOcc(stream int, occ int64) {
 	tm.occ[stream].record(occ)
-}
-
-// recordSteal notes a steal hit moving took jobs.
-func (tm *telemetry) recordSteal(took int64) {
-	tm.steals.Add(took)
-	tm.stealTake.record(took)
-}
-
-// recordStealTry notes one steal scan (hit or miss).
-func (tm *telemetry) recordStealTry() { tm.stealTries.Add(1) }
-
-// recordGlobalPop notes a job taken from the global overflow queue.
-func (tm *telemetry) recordGlobalPop() { tm.globalPops.Add(1) }
-
-// recordPark records one worker park and its wall duration.
-func (tm *telemetry) recordPark(dur int64) {
-	tm.parks.Add(1)
-	tm.parkDur.record(dur)
-}
-
-// recordFaults folds one job's contained failures into the live
-// mirrors (the per-worker ClassStats shards remain the end-of-run
-// source of truth).
-func (tm *telemetry) recordFaults(faults, retries int64) {
-	if faults > 0 {
-		tm.faulted.Add(faults)
-	}
-	if retries > 0 {
-		tm.retries.Add(retries)
-	}
 }
 
 // stageHist merges task's per-shard service-time histograms into one
@@ -353,15 +255,15 @@ func (tm *telemetry) stageJobs(count int64) int64 {
 	return count
 }
 
-// watchdogEpoch runs one stalled-progress check. Called at virtual
-// watchdog boundaries on the sim goroutine, or under e.mu from the
-// real backend's watchdog ticker. Must be called with mu held on the
-// real backend.
+// watchdogEpoch runs one stalled-progress check. It is a periodic
+// control (see control.go): called at virtual watchdog boundaries on
+// the sim goroutine, or under e.mu from the real backend's control
+// goroutine. Must be called with mu held on the real backend.
 //
 //hinch:locked
 func (e *engine) watchdogEpoch() {
 	tm := e.tm
-	r := tm.retiredAll.Load()
+	r := e.retireNext.Load()
 	if r != tm.wdLast {
 		tm.wdLast = r
 		tm.wdMisses = 0
@@ -378,7 +280,7 @@ func (e *engine) watchdogEpoch() {
 		if e.tr != nil {
 			e.tr.Emit(0, TraceEvent{
 				TS: e.traceTS(nil), Kind: TraceStall,
-				Worker: -1, Iter: int32(e.retireNext), ID: -1, Arg: int64(tm.wdMisses),
+				Worker: -1, Iter: int32(r), ID: -1, Arg: int64(tm.wdMisses),
 			})
 		}
 	}

@@ -2,9 +2,12 @@ package hinch
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"xspcl/internal/graph"
 )
 
 func TestHistQuantile(t *testing.T) {
@@ -147,6 +150,55 @@ func TestSnapshotLiveRealRun(t *testing.T) {
 	}
 	if len(rep.Stages) == 0 {
 		t.Fatal("real report has no stage latencies")
+	}
+}
+
+// TestSnapshotEqualsReport: App.Snapshot and the Report read the same
+// counter shards, so after Run they agree exactly — on both backends,
+// with and without telemetry — including the fault-tolerance and (on
+// real) scheduler counters.
+func TestSnapshotEqualsReport(t *testing.T) {
+	for _, backend := range []Backend{BackendSim, BackendReal} {
+		for _, telemetry := range []bool{false, true} {
+			name := fmt.Sprintf("%s/telemetry=%v", map[Backend]string{BackendSim: "sim", BackendReal: "real"}[backend], telemetry)
+			t.Run(name, func(t *testing.T) {
+				b := graph.NewBuilder("flaky")
+				b.Stream("a").Stream("b")
+				b.Body(
+					b.Component("src", "intsrc", graph.Ports{"out": "a"}, nil),
+					b.Component("flaky", "adder", graph.Ports{"in": "a", "out": "b"},
+						graph.Params{"add": "1000", graph.OnErrorParam: "retry:2,base=10us"}),
+					b.Component("snk", "intsink", graph.Ports{"in": "b"}, nil),
+				)
+				app, err := NewApp(b.MustProgram(), testRegistry(), Config{
+					Backend: backend, Cores: 4, EagerWorkers: true, Telemetry: telemetry,
+					Faults: &firstAttemptInjector{task: "flaky"},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := app.Run(60)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := app.Snapshot()
+				if s.Jobs != rep.Jobs || s.Processed != int64(rep.Iterations) || s.Retired != s.Launched {
+					t.Errorf("snapshot jobs=%d processed=%d retired=%d launched=%d, report jobs=%d iterations=%d",
+						s.Jobs, s.Processed, s.Retired, s.Launched, rep.Jobs, rep.Iterations)
+				}
+				if rep.Faults == 0 || rep.Retries == 0 || s.Faults != rep.Faults || s.Retries != rep.Retries {
+					t.Errorf("snapshot faults=%d retries=%d, report faults=%d retries=%d (want equal, non-zero)",
+						s.Faults, s.Retries, rep.Faults, rep.Retries)
+				}
+				if backend == BackendReal {
+					ss := rep.Sched
+					if s.Steals != ss.Steals || s.StealTries != ss.StealAttempts || s.GlobalPops != ss.GlobalPops || s.Parks != ss.Parks {
+						t.Errorf("snapshot steals=%d tries=%d global=%d parks=%d, report %+v",
+							s.Steals, s.StealTries, s.GlobalPops, s.Parks, ss)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -95,9 +95,19 @@ func TestTraceInvariantsReal(t *testing.T) {
 	if got := int64(kindCount(rec, hinch.TraceJobSpan)); got != rep.Jobs {
 		t.Errorf("job spans = %d, report jobs = %d", got, rep.Jobs)
 	}
-	// The folded scheduler counters must agree with the trace.
-	if got, want := int64(kindCount(rec, hinch.TraceStealHit)), rep.Sched.Steals; got != want {
-		t.Errorf("steal events = %d, report steals = %d", got, want)
+	// The folded scheduler counters must agree with the trace. A steal
+	// hit can move a batch of jobs, and Sched.Steals counts jobs, so the
+	// hits' Arg (jobs taken) must sum to it.
+	var stolen int64
+	for si := 0; si < rec.Shards(); si++ {
+		for _, ev := range rec.Events(si) {
+			if ev.Kind == hinch.TraceStealHit {
+				stolen += ev.Arg
+			}
+		}
+	}
+	if want := rep.Sched.Steals; stolen != want {
+		t.Errorf("jobs stolen per steal events = %d, report steals = %d", stolen, want)
 	}
 	if got, want := int64(kindCount(rec, hinch.TraceGlobalPop)), rep.Sched.GlobalPops; got != want {
 		t.Errorf("global-pop events = %d, report global pops = %d", got, want)

@@ -17,7 +17,9 @@ import (
 // live stream-FIFO capacity (Config.StreamCapacity's runtime
 // counterpart). On the sim backend epochs are virtual-time boundaries,
 // so the whole decision trace is deterministic for a fixed seed; on the
-// real backend a ticker goroutine samples under the engine lock.
+// real backend the control goroutine samples under the engine lock
+// (tuneEpoch is the first control on the run's control clock,
+// control.go).
 
 // TuneKind says which knob a TuneDecision turned.
 type TuneKind uint8
@@ -77,8 +79,7 @@ const (
 // only inside tuneEpoch (single sim goroutine, or under e.mu on the
 // real backend).
 type tuner struct {
-	epoch  int64 // epoch length: virtual cycles (sim) or wall ns (real)
-	nextAt int64 // sim backend: virtual time of the next epoch boundary
+	epoch int64 // epoch length: virtual cycles (sim) or wall ns (real)
 
 	auto []int   // task IDs declared replicate="auto", ascending
 	cap  []int32 // width cap per task ID (meaningful for auto tasks)
@@ -138,7 +139,6 @@ func newTuner(e *engine) *tuner {
 	}
 	if a.cfg.Backend == BackendSim {
 		tu.epoch = a.cfg.TuneEpochCycles
-		tu.nextAt = tu.epoch
 	} else {
 		tu.epoch = int64(a.cfg.TuneEpochWall)
 	}
@@ -349,7 +349,7 @@ func (e *engine) traceTune(d TuneDecision) {
 //hinch:locked
 func (e *engine) setWidth(id, width int) {
 	e.widths[id].Store(int32(width))
-	for k := e.retireNext; k < e.nextLaunch; k++ {
+	for k := int(e.retireNext.Load()); k < int(e.nextLaunch.Load()); k++ {
 		it := e.iterAt(k)
 		if it == nil {
 			continue

@@ -407,3 +407,52 @@ func TestSessionsStatusListing(t *testing.T) {
 	}
 	sv.Drain()
 }
+
+// nop does nothing but charge a token cost; pacing comes from the
+// injected delay fault in front of it.
+type nop struct{}
+
+func (c *nop) Init(*hinch.InitContext) error { return nil }
+func (c *nop) Run(rc *hinch.RunContext) error {
+	rc.Charge(10)
+	return nil
+}
+
+// TestLiveProgressWithoutTelemetry: a running real-backend session's
+// status reports live job and iteration counts even without
+// Config.Telemetry — the counters come from the run's own shards, not
+// from telemetry.
+func TestLiveProgressWithoutTelemetry(t *testing.T) {
+	defer leakCheck(t)()
+	sv := New(Limits{MaxSessions: 1})
+	s, err := sv.Submit(Job{
+		Name: "paced", Cores: 1, Iterations: 100000,
+		New: func() (*hinch.App, error) {
+			r := hinch.NewRegistry()
+			r.Register("nop", hinch.ClassSpec{New: func() hinch.Component { return &nop{} }})
+			return hinch.NewApp(soloProg("nop"), r, hinch.Config{
+				Backend: hinch.BackendReal, Cores: 1, PipelineDepth: 1,
+				Faults: &hinch.SeededFaults{From: 0, Kind: hinch.FaultDelay, Delay: time.Millisecond},
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last Status
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		last = sv.Sessions()[0]
+		if last.State == StateRunning && last.Jobs > 0 && last.Iterations > 0 {
+			break
+		}
+	}
+	if last.State != StateRunning || last.Jobs == 0 || last.Iterations == 0 {
+		t.Errorf("no live progress while running: %+v", last)
+	}
+	s.Cancel()
+	if o, _, _ := s.Wait(); o != OutcomeCancelled {
+		t.Fatalf("outcome %s, want cancelled", o)
+	}
+	assertStats(t, sv)
+	sv.Drain()
+}
