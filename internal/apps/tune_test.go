@@ -18,7 +18,7 @@ import (
 	"xspcl/internal/hinch"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden autotuner traces")
+var updateGolden = flag.Bool("update", false, "rewrite the golden autotuner traces and sim figures")
 
 // tuneEpoch is the epoch length for the golden runs: a frame of these
 // applications costs on the order of a few million simulated cycles, so

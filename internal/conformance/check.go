@@ -149,10 +149,10 @@ func (p *perturb) Yield(pt hinch.YieldPoint) {
 	c := p.ctr.Add(1)
 	x := mix(p.seed, c, uint64(pt))
 	if pt == hinch.YieldAcquire {
-		// Buffer acquisition runs once per (stream, iteration) — rare
-		// but high-leverage: any job of the same iteration dispatched
-		// while the acquire loop is parked here races the publication
-		// of the stream slots. Stretch it nearly every time.
+		// Buffer acquisition fires once per iteration — rare but
+		// high-leverage: any job of the same iteration dispatched
+		// while ensureBuffers is parked here races the publication of
+		// the iteration's buffer set. Stretch it nearly every time.
 		if x%4 != 0 {
 			time.Sleep(time.Duration(1+x%20) * time.Microsecond)
 		} else {
@@ -275,11 +275,11 @@ func (b battery) run(opt Options) error {
 func run(t target, backend hinch.Backend, cores int, o runOpts) (obs *Observation, err error) {
 	defer func() {
 		// The runtime surfaces dependency violations as panics (e.g.
-		// Stream.slotFor on an unacquired iteration, or a nil-payload
-		// type assertion in a component that ran before its producer),
-		// and an escaped panic means fault containment failed. Convert
-		// them into check failures so the harness reports the seed
-		// instead of crashing the fuzzer.
+		// a port access by an iteration with no buffer set, or a
+		// nil-payload type assertion in a component that ran before its
+		// producer), and an escaped panic means fault containment
+		// failed. Convert them into check failures so the harness
+		// reports the seed instead of crashing the fuzzer.
 		if r := recover(); r != nil {
 			obs, err = nil, fmt.Errorf("runtime panic: %v", r)
 		}

@@ -334,7 +334,7 @@ func NewApp(prog *graph.Program, reg *Registry, cfg Config) (*App, error) {
 		a.tile = spacecake.NewTile(tcfg)
 	}
 	for _, decl := range prog.Streams {
-		s, err := newStream(decl, cfg.PipelineDepth, a.addr)
+		s, err := newStream(decl, a.addr)
 		if err != nil {
 			return nil, err
 		}
@@ -608,8 +608,6 @@ func (a *App) RunContext(ctx context.Context, iterations int) (*Report, error) {
 	// The run is over: dissolve the stream buffers back into the global
 	// frame free-list, so the next App (a fresh run, a benchmark
 	// iteration) reuses them instead of allocating.
-	for _, s := range a.streamList {
-		s.drainFrames()
-	}
+	e.drainFrames()
 	return rep, err
 }

@@ -271,16 +271,18 @@ type RunContext struct {
 	access   []spacecake.Access // accumulated memory accesses (sim backend)
 	streamed []spacecake.Region // accumulated streamed (DMA) transfers
 	sim      bool
-	shard    int // tracer shard of the owning worker (0 on sim); not cleared by reset
+	shard    int     // tracer shard of the owning worker (0 on sim); not cleared by reset
+	bufs     *bufSet // the iteration's stream buffers; nil if it holds none
 }
 
 // reset prepares rc for one job, keeping the accumulated slices'
 // capacity so a worker can reuse one RunContext across jobs without
 // reallocating.
-func (rc *RunContext) reset(app *App, task *graph.Task, iter int, sim bool) {
+func (rc *RunContext) reset(app *App, task *graph.Task, iter int, bufs *bufSet, sim bool) {
 	rc.app = app
 	rc.task = task
 	rc.iter = iter
+	rc.bufs = bufs
 	rc.sim = sim
 	rc.compute = 0
 	rc.access = rc.access[:0]
@@ -330,14 +332,18 @@ func (rc *RunContext) PortRegion(port string) spacecake.Region {
 // slot resolves a port name through the task's precomputed bindings
 // (see App.portBinds): a linear scan over the handful of ports a
 // component has, replacing the two string-map lookups (ports, streams)
-// the dispatch hot path used to pay per port access.
+// the dispatch hot path used to pay per port access. The bound
+// stream's index selects its slot in the iteration's buffer set.
 //
 //hinch:hotpath
 func (rc *RunContext) slot(port string) *slot {
 	binds := rc.app.portBinds[rc.task.ID]
 	for i := range binds {
 		if binds[i].port == port {
-			return binds[i].s.slotFor(rc.iter)
+			if rc.bufs == nil {
+				panic(fmt.Sprintf("hinch: stream %s: iteration %d has no buffer", binds[i].s.name, rc.iter))
+			}
+			return (*rc.bufs)[binds[i].s.idx]
 		}
 	}
 	panic(fmt.Sprintf("hinch: %s: port %q not connected", rc.task.Name, port))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xspcl/internal/graph"
+	"xspcl/internal/media"
 )
 
 // job identifies one schedulable unit: one task of one iteration.
@@ -27,14 +28,13 @@ type job struct {
 // is single-threaded, so the atomics are uncontended there and the
 // discrete-event schedule stays deterministic.
 type iterState struct {
-	// iter is the iteration this state currently represents. It is
-	// atomic because iterAt probes ring slots without mu and validates
-	// against it: a stale pointer (loaded just before retire freed the
-	// slot) may observe the state mid-recycle. launch stores iter LAST
-	// in the recycle sequence, so a probe that reads the new value is
+	// iter is the iteration this ring slot currently holds, or -1 when
+	// the slot is free. It is atomic because iterAt probes the ring
+	// without mu and validates against it. launch stores iter LAST when
+	// it resets the slot, so a probe that reads the new value is
 	// guaranteed (seq-cst store/load pairing) to see every other field
 	// already reset for the new iteration; any other value makes the
-	// probe reject the state. Written only under mu.
+	// probe reject the slot. Written only under mu.
 	iter      atomic.Int64
 	plan      *graph.Plan
 	remaining []atomic.Int32 // unmet dependency count per task
@@ -48,7 +48,12 @@ type iterState struct {
 	crossClaim []atomic.Bool
 	left       atomic.Int32 // tasks not yet completed
 	cancelled  atomic.Bool
-	acquired   atomic.Bool // stream buffers assigned (lazily, at first dispatch)
+	// bufs is the iteration's stream buffer set, assigned lazily at
+	// first dispatch (ensureBuffers) and taken back at retire; nil
+	// while the iteration holds none. Storing the filled set is the
+	// publication: a lock-free reader that loads a non-nil set sees
+	// every slot in it.
+	bufs atomic.Pointer[bufSet]
 
 	// launchTS is the telemetry clock at launch (virtual cycles on sim,
 	// wall ns on real); retire subtracts it to record the end-to-end
@@ -87,13 +92,9 @@ type mgrState struct {
 	parked      []job           // held entry jobs of iterations > gateAfter
 }
 
-// reconfigResult tells the executor a reconfiguration was applied on
-// job completion: charge stall virtual time, then release the parked
-// jobs.
-type reconfigResult struct {
-	stall  int64
-	parked []job
-}
+// A bufSet is one in-flight iteration's stream buffers: one slot per
+// stream, indexed like App.streamList (Stream.idx).
+type bufSet []*slot
 
 // engine implements the shared scheduling machinery: data-flow readiness
 // tracking, pipeline parallelism across iterations, and the manager
@@ -123,12 +124,16 @@ type engine struct {
 	// (complete/release) runs without it.
 	mu sync.Mutex
 
-	// ring holds the in-flight iterations, indexed by iteration number
-	// modulo len(ring). Slots are written under mu (launch/retire) and
-	// read lock-free by workers; the window is bounded by PipelineDepth,
-	// which is strictly smaller than the ring, so a live slot always
-	// belongs to the iteration it is probed for.
-	ring   []atomic.Pointer[iterState]
+	// ring owns the iteration records: iteration k always lives in
+	// slot k mod len(ring), and a free slot has iter == -1. Slots are
+	// reset under mu (launch/retire) and probed lock-free by workers
+	// (iterAt), which validate the slot's iter. The window is bounded
+	// by PipelineDepth, strictly smaller than the ring, and retirement
+	// is strictly in order: while any job of iteration k is
+	// mid-completion, retireNext <= k, so neither k's slot nor the slot
+	// of k+W it releases into can be reset for another iteration under
+	// it.
+	ring   []iterState
 	nIters int // live iterations; guarded by mu
 
 	// The launch and retirement cursors and the processed count are
@@ -151,7 +156,18 @@ type engine struct {
 	mgrs  map[string]*mgrState
 	stall int64
 
-	bufActive int   // iterations currently holding stream buffers
+	// The engine owns every stream buffer. bufFree holds the buffer
+	// sets no iteration holds, most recently retired last: handing it
+	// to the next dispatching iteration reuses cache-hot buffers. It
+	// starts with PipelineDepth sets whose slots are built on first use
+	// (buildSlots); since built sets sit above unbuilt ones, a set is
+	// built only when every built one is held, so the sets built
+	// number exactly bufHigh. Guarded by mu. bufActive (iterations
+	// holding a set) and bufHigh (its high-water mark) are written
+	// under mu and atomic so App.Snapshot can read them mid-run.
+	bufFree   []*bufSet
+	bufActive atomic.Int32
+	bufHigh   atomic.Int32
 	bufParked []job // jobs waiting for stream buffers (backpressure)
 	bufSpare  []job // retired bufParked backing array, reused on refill
 	// bufCap is the live stream-FIFO capacity; starts at StreamCapacity,
@@ -185,12 +201,6 @@ type engine struct {
 
 	ready readyQueue // sim backend: central job queue, oldest iteration first
 	err   error
-
-	// free recycles iterState allocations between iterations (guarded
-	// by mu). Safe because retirement is strictly in-order: while any
-	// job of iteration k is mid-completion, retireNext <= k, so the
-	// states it touches (k and k+1) cannot have been recycled.
-	free []*iterState
 
 	simRC RunContext // the sim backend's reusable run context
 
@@ -247,26 +257,35 @@ func (q *readyQueue) Pop() any {
 
 // newEngine builds the engine for an App's (single) run. The iteration
 // limit is set later, by Run; everything the steady state recycles —
-// the iteration ring, the iterState free-list, the backpressure
-// buffers and (real backend) the work-stealing scheduler — is
-// allocated and sized here, so the run path starts warm.
+// the iteration ring, the buffer-set headers, the backpressure buffers
+// and (real backend) the work-stealing scheduler — is allocated and
+// sized here, so the run path starts warm.
 func newEngine(a *App) *engine {
+	depth := a.cfg.PipelineDepth
 	e := &engine{
 		app:        a,
-		ring:       make([]atomic.Pointer[iterState], a.cfg.PipelineDepth+2),
+		ring:       make([]iterState, depth+2),
 		stopLaunch: -1,
 		mgrs:       map[string]*mgrState{},
 		hooks:      a.cfg.Hooks,
 	}
 	n := len(a.plan.Tasks)
 	e.counts = make([]taskCounters, e.shards()*n)
-	e.free = make([]*iterState, 0, len(e.ring))
-	for i := 0; i < len(e.ring); i++ {
-		e.free = append(e.free, &iterState{
-			remaining:  make([]atomic.Int32, n),
-			done:       make([]atomic.Bool, n),
-			crossClaim: make([]atomic.Bool, n),
-		})
+	for i := range e.ring {
+		it := &e.ring[i]
+		it.iter.Store(-1)
+		it.remaining = make([]atomic.Int32, n)
+		it.done = make([]atomic.Bool, n)
+		it.crossClaim = make([]atomic.Bool, n)
+	}
+	// One backing array carries the slot pointers of every set.
+	ns := len(a.streamList)
+	slots := make([]*slot, depth*ns)
+	sets := make([]bufSet, depth)
+	e.bufFree = make([]*bufSet, depth)
+	for i := range sets {
+		sets[i] = slots[i*ns : (i+1)*ns : (i+1)*ns]
+		e.bufFree[i] = &sets[i]
 	}
 	e.bufParked = make([]job, 0, a.cfg.PipelineDepth+1)
 	e.bufSpare = make([]job, 0, a.cfg.PipelineDepth+1)
@@ -424,14 +443,14 @@ func (e *engine) traceMeta(wall bool) TraceMeta {
 }
 
 // iterAt returns the in-flight state of iteration k, or nil when k is
-// not (or no longer) in flight. Safe without mu: ring slots are atomic
-// pointers and each state is validated against the probed iteration.
+// not (or no longer) in flight. Safe without mu: the slot is validated
+// against the probed iteration (see iterState.iter).
 func (e *engine) iterAt(k int) *iterState {
 	if k < 0 {
 		return nil
 	}
-	st := e.ring[k%len(e.ring)].Load()
-	if st == nil || st.iter.Load() != int64(k) {
+	st := &e.ring[k%len(e.ring)]
+	if st.iter.Load() != int64(k) {
 		return nil
 	}
 	return st
@@ -442,7 +461,7 @@ func (e *engine) iterAt(k int) *iterState {
 // it).
 func (e *engine) eachIter(f func(*iterState)) {
 	for i := range e.ring {
-		if st := e.ring[i].Load(); st != nil {
+		if st := &e.ring[i]; st.iter.Load() >= 0 {
 			f(st)
 		}
 	}
@@ -534,27 +553,18 @@ func (e *engine) launch(w *wsWorker) {
 		k := int(e.nextLaunch.Add(1)) - 1
 		plan := e.app.plan
 		n := len(plan.Tasks)
-		var it *iterState
-		if f := len(e.free); f > 0 {
-			it = e.free[f-1]
-			e.free = e.free[:f-1]
-			it.plan = plan
-			for i := range it.done {
-				it.done[i].Store(false)
-				it.crossClaim[i].Store(false)
-			}
-			it.cancelled.Store(false)
-			it.acquired.Store(false)
-			clear(it.mgrOpts)
-			clear(it.optStarted)
-		} else {
-			it = &iterState{
-				plan:       plan,
-				remaining:  make([]atomic.Int32, n),
-				done:       make([]atomic.Bool, n),
-				crossClaim: make([]atomic.Bool, n),
-			}
+		it := &e.ring[k%len(e.ring)]
+		if it.iter.Load() >= 0 {
+			panic(fmt.Sprintf("hinch: iteration ring slot %d still occupied at launch of %d", k%len(e.ring), k))
 		}
+		it.plan = plan
+		for i := range it.done {
+			it.done[i].Store(false)
+			it.crossClaim[i].Store(false)
+		}
+		it.cancelled.Store(false)
+		clear(it.mgrOpts)
+		clear(it.optStarted)
 		it.left.Store(int32(n))
 		for _, t := range plan.Tasks {
 			// Every task carries one cross-iteration dependency on top of
@@ -567,14 +577,8 @@ func (e *engine) launch(w *wsWorker) {
 			it.remaining[t.ID].Store(int32(len(t.Deps)) + 1)
 		}
 		// Publish the iteration number last: once a concurrent iterAt
-		// probe (which may hold a stale pointer to this state from its
-		// previous life) sees iter == k, every reset above is visible.
+		// probe sees iter == k, every reset above is visible.
 		it.iter.Store(int64(k))
-		slot := &e.ring[k%len(e.ring)]
-		if slot.Load() != nil {
-			panic(fmt.Sprintf("hinch: iteration ring slot %d still occupied at launch of %d", k%len(e.ring), k))
-		}
-		slot.Store(it)
 		e.nIters++
 		if e.tm != nil {
 			it.launchTS = e.tmNow()
@@ -656,12 +660,13 @@ func (e *engine) shouldPark(j job) bool {
 // applies a pending reconfiguration when the halted manager's subgraph
 // just became quiescent. The dependency fast path is lock-free; the
 // manager and retirement slow paths take mu internally, so complete
-// must be called WITHOUT mu held. A non-nil error (a failed
-// reconfiguration splice) aborts the run and must be propagated by the
+// must be called WITHOUT mu held. applied reports that a
+// reconfiguration was spliced in, with the stall to charge; a non-nil
+// error (a failed splice) aborts the run and must be propagated by the
 // caller.
 //
 //hinch:hotpath
-func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
+func (e *engine) complete(j job, w *wsWorker) (stall int64, applied bool, err error) {
 	if e.hooks != nil {
 		e.hooks.Yield(YieldComplete)
 	}
@@ -686,16 +691,15 @@ func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
 			e.release(j.iter+wt, next, j.task.ID, w)
 		}
 	}
-	var res *reconfigResult
 	if j.task.Role == graph.RoleManagerExit {
-		var err error
 		e.mu.Lock()
 		if st := e.mgrs[j.task.Manager]; st != nil && st.phase == mgrHalted && j.iter == st.gateAfter {
-			res, err = e.applyReconfig(j.task.Manager, st, w)
+			stall, err = e.applyReconfig(j.task.Manager, st, w)
+			applied = true
 		}
 		e.mu.Unlock()
 		if err != nil {
-			return nil, err
+			return 0, false, err
 		}
 	}
 	if it.left.Add(-1) == 0 {
@@ -703,7 +707,7 @@ func (e *engine) complete(j job, w *wsWorker) (*reconfigResult, error) {
 		e.retireSweep(w)
 		e.mu.Unlock()
 	}
-	return res, nil
+	return stall, applied, nil
 }
 
 // retireSweep retires completed iterations strictly in iteration order,
@@ -733,16 +737,17 @@ func (e *engine) retire(it *iterState, w *wsWorker) {
 		e.hooks.Yield(YieldRetire)
 	}
 	k := int(it.iter.Load())
-	e.ring[k%len(e.ring)].Store(nil)
+	it.iter.Store(-1)
 	e.nIters--
-	if it.acquired.Load() {
-		e.bufActive--
-		for _, s := range e.app.streamList {
-			s.release(k)
-			if e.tr != nil {
+	if bs := it.bufs.Load(); bs != nil {
+		it.bufs.Store(nil)
+		e.bufFree = append(e.bufFree, bs)
+		active := e.bufActive.Add(-1)
+		if e.tr != nil {
+			for _, s := range e.app.streamList {
 				e.tr.Emit(traceShard(w), TraceEvent{
 					TS: e.traceTS(w), Kind: TraceStreamRelease,
-					Worker: -1, Iter: int32(k), ID: int32(s.idx), Arg: int64(s.nactive.Load()),
+					Worker: -1, Iter: int32(k), ID: int32(s.idx), Arg: int64(active),
 				})
 			}
 		}
@@ -773,7 +778,6 @@ func (e *engine) retire(it *iterState, w *wsWorker) {
 			Worker: int32(traceShard(w) - 1), Iter: int32(k), ID: -1, Arg: arg,
 		})
 	}
-	e.free = append(e.free, it)
 	e.checkResumes(w)
 	e.launch(w)
 }
@@ -847,10 +851,10 @@ func (e *engine) noteEOS(k int) {
 // Must be called with mu held.
 func (e *engine) needsBuffers(j job) bool {
 	it := e.iterAt(j.iter)
-	if it == nil || it.acquired.Load() {
+	if it == nil || it.bufs.Load() != nil {
 		return false
 	}
-	if e.bufActive < int(e.bufCap.Load()) {
+	if e.bufActive.Load() < e.bufCap.Load() {
 		return false
 	}
 	if e.tu != nil {
@@ -860,46 +864,80 @@ func (e *engine) needsBuffers(j job) bool {
 	return true
 }
 
-// ensureBuffers lazily assigns stream buffers to a just-dispatching
+// ensureBuffers lazily assigns a buffer set to a just-dispatching
 // iteration. Deferring the assignment to first dispatch (rather than
-// launch) lets the LIFO pools hand the previous iteration's cache-hot
-// buffers to the next one whenever the scheduler keeps few iterations
-// in flight. Must be called with mu held.
+// launch) lets the LIFO free list hand the previous iteration's
+// cache-hot buffers to the next one whenever the scheduler keeps few
+// iterations in flight. Must be called with mu held.
 //
 //hinch:locked
 //hinch:hotpath
 func (e *engine) ensureBuffers(iter int) {
 	it := e.iterAt(iter)
-	if it == nil || it.acquired.Load() {
+	if it == nil || it.bufs.Load() != nil {
 		return
 	}
-	e.bufActive++
-	if e.tu != nil && e.bufActive > e.tu.bufHW {
-		e.tu.bufHW = e.bufActive
+	n := len(e.bufFree)
+	if n == 0 {
+		panic(fmt.Sprintf("hinch: more than %d iterations hold stream buffers", e.app.cfg.PipelineDepth))
 	}
-	var ts int64
+	bs := e.bufFree[n-1]
+	e.bufFree = e.bufFree[:n-1]
+	if len(*bs) > 0 && (*bs)[0] == nil {
+		e.buildSlots(*bs)
+	}
+	active := e.bufActive.Add(1)
+	if active > e.bufHigh.Load() {
+		e.bufHigh.Store(active)
+	}
+	if e.tu != nil && int(active) > e.tu.bufHW {
+		e.tu.bufHW = int(active)
+	}
+	if e.tm != nil {
+		e.tm.occ.record(int64(active))
+	}
 	if e.tr != nil {
-		ts = e.traceTS(nil)
-	}
-	for _, s := range e.app.streamList {
-		if e.hooks != nil {
-			e.hooks.Yield(YieldAcquire)
-		}
-		s.acquire(iter)
-		if e.tm != nil {
-			e.tm.recordOcc(s.idx, int64(s.nactive.Load()))
-		}
-		if e.tr != nil {
+		ts := e.traceTS(nil)
+		for _, s := range e.app.streamList {
 			e.tr.Emit(0, TraceEvent{
 				TS: ts, Kind: TraceStreamAcquire,
-				Worker: -1, Iter: int32(iter), ID: int32(s.idx), Arg: int64(s.nactive.Load()),
+				Worker: -1, Iter: int32(iter), ID: int32(s.idx), Arg: int64(active),
 			})
 		}
 	}
-	// Publish last: execReal's lock-free fast path reads acquired without
-	// the engine lock, and the atomic store must make the slot pointers
-	// above visible to any reader that observes acquired==true.
-	it.acquired.Store(true)
+	if e.hooks != nil {
+		e.hooks.Yield(YieldAcquire)
+	}
+	// Publish last (see iterState.bufs).
+	it.bufs.Store(bs)
+}
+
+// buildSlots fills a set with fresh slots at its first use, in stream
+// declaration order — the order that fixes the simulated address
+// layout. Only the first dispatches of a run, up to the iteration
+// overlap the scheduler actually produces, get here.
+func (e *engine) buildSlots(bs bufSet) {
+	for i, s := range e.app.streamList {
+		bs[i] = s.newSlot()
+	}
+}
+
+// drainFrames returns the stream-owned frames of every free buffer set
+// to the global media free-list. Called once, after the run has fully
+// stopped: every set of a cleanly finished run is free (its iteration
+// retired). Sets still held after an aborted run keep their frames,
+// which simply fall to the GC with the App — never recycle a frame a
+// failed component might still reference.
+func (e *engine) drainFrames() {
+	for _, bs := range e.bufFree {
+		for _, sl := range *bs {
+			if sl != nil && sl.own != nil {
+				media.PutFrame(sl.own)
+				sl.own = nil
+				sl.payload = nil
+			}
+		}
+	}
 }
 
 // skipExecution reports whether the job must run as a zero-cost no-op:
@@ -1112,10 +1150,11 @@ func (e *engine) preCreateOption(option string) (int, error) {
 // applyReconfig splices the pending option changes in at subgraph
 // quiescence: iterations up to gateAfter have fully left the manager's
 // subgraph and later iterations are parked at its entrance. It returns
-// the stall to charge and the parked jobs to resume; a non-nil error
-// (component creation failed inside the quiescent window) must abort
-// the run. Must be called with mu held.
-func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (*reconfigResult, error) {
+// the stall to charge (the parked jobs stay held until checkResumes
+// releases them); a non-nil error (component creation failed inside
+// the quiescent window) must abort the run. Must be called with mu
+// held.
+func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (int64, error) {
 	nChanged, created := 0, 0
 	var firstErr error
 	for _, t := range e.app.plan.ComponentTasks() {
@@ -1168,10 +1207,9 @@ func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (*reconfi
 	}
 	// Parked entries stay held until checkResumes sees the pipeline
 	// fully drained of pre-halt iterations.
-	res := &reconfigResult{stall: stall}
 	st.pending = nil
 	st.phase = mgrApplied
-	return res, firstErr
+	return stall, firstErr
 }
 
 // executeComponent runs one attempt of a component job in rc (reset in
@@ -1182,7 +1220,11 @@ func (e *engine) applyReconfig(name string, st *mgrState, w *wsWorker) (*reconfi
 // state the aborted Run accumulated, so the reused RunContext is never
 // poisoned. It must be called WITHOUT mu held on the real backend.
 func (e *engine) executeComponent(rc *RunContext, j job, inst *instance, sim bool, inject FaultKind) (err error) {
-	rc.reset(e.app, j.task, j.iter, sim)
+	var bufs *bufSet
+	if it := e.iterAt(j.iter); it != nil {
+		bufs = it.bufs.Load()
+	}
+	rc.reset(e.app, j.task, j.iter, bufs, sim)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("hinch: component %s@%d panicked: %v", j.task.Name, j.iter, r)

@@ -9,7 +9,7 @@ import (
 )
 
 // eosRaceHooks widens execReal's documented benign window: the
-// lock-free cancelled/acquired probe happens at dispatch, and a
+// lock-free cancelled/bufs probe happens at dispatch, and a
 // concurrent noteEOS can cancel the iteration before the component's
 // first stream access. Yielding at the dispatch boundary invites the
 // EOS-driven cancellation into exactly that window.

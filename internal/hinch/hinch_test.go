@@ -705,8 +705,9 @@ func TestCrossIterationOrderingPerInstance(t *testing.T) {
 }
 
 func TestStreamBackpressureBoundsBuffers(t *testing.T) {
-	// With StreamCapacity 2 the pools must never grow past 2 buffers,
-	// however deep the pipeline window is.
+	// With StreamCapacity 2 the engine must never build more than 2
+	// buffer sets, however deep the pipeline window is. (The sets built
+	// number exactly the buffer high-water mark, bufHigh.)
 	prog := chainProg()
 	app, err := NewApp(prog, testRegistry(), Config{
 		Backend: BackendSim, Cores: 4, PipelineDepth: 5, StreamCapacity: 2,
@@ -717,10 +718,8 @@ func TestStreamBackpressureBoundsBuffers(t *testing.T) {
 	if _, err := app.Run(40); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"a", "b"} {
-		if got := app.Stream(name).BuffersAllocated(); got > 2 {
-			t.Fatalf("stream %s grew to %d buffers", name, got)
-		}
+	if got := app.eng.bufHigh.Load(); got > 2 {
+		t.Fatalf("engine built %d buffer sets", got)
 	}
 }
 
@@ -734,15 +733,15 @@ func TestStreamCapacityClampedToDepth(t *testing.T) {
 	if _, err := app.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.Stream("a").BuffersAllocated(); got > 2 {
-		t.Fatalf("capacity not clamped: %d buffers", got)
+	if got := app.eng.bufHigh.Load(); got > 2 {
+		t.Fatalf("capacity not clamped: %d buffer sets", got)
 	}
 }
 
 func TestBufferPoolReusedAtOneCore(t *testing.T) {
 	// One core, oldest-first scheduling: at most 2 iterations ever
-	// overlap, so the pool should stay at ~2 buffers even with a deep
-	// window and generous capacity.
+	// overlap, so the engine should build ~2 buffer sets even with a
+	// deep window and generous capacity.
 	app, err := NewApp(chainProg(), testRegistry(), Config{
 		Backend: BackendSim, Cores: 1, PipelineDepth: 5, StreamCapacity: 5,
 	})
@@ -752,8 +751,8 @@ func TestBufferPoolReusedAtOneCore(t *testing.T) {
 	if _, err := app.Run(30); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.Stream("a").BuffersAllocated(); got > 2 {
-		t.Fatalf("1-core run grew pool to %d buffers", got)
+	if got := app.eng.bufHigh.Load(); got > 2 {
+		t.Fatalf("1-core run built %d buffer sets", got)
 	}
 }
 

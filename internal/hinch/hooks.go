@@ -25,11 +25,11 @@ const (
 	// YieldRetire fires at the start of retire(), before an iteration's
 	// stream buffers are released and backpressured jobs requeue.
 	YieldRetire
-	// YieldAcquire fires inside ensureBuffers between per-stream buffer
-	// acquisitions, while the engine lock is held. With the correct
-	// publication order (slots first, acquired flag last) this is
-	// invisible to lock-free readers; with the inverted order it holds
-	// the window open where acquired==true but slots are missing.
+	// YieldAcquire fires inside ensureBuffers, while the engine lock
+	// is held, after the iteration's buffer set is taken and before it
+	// is published. Storing the filled set is the only publication, so
+	// lock-free readers never see a partial set: other jobs of the
+	// iteration see none yet and wait on the lock.
 	YieldAcquire
 	// YieldDispatch fires on the real backend just before a component
 	// job executes, after its fast-path checks have passed.

@@ -244,7 +244,7 @@ func (e *engine) execReal(w *wsWorker, j job) {
 	// iterations' results are discarded at retirement, same as the
 	// seed's dispatch-then-execute window.
 	it := e.iterAt(j.iter)
-	if it == nil || !it.acquired.Load() || it.cancelled.Load() || j.task.Option != "" {
+	if it == nil || it.bufs.Load() == nil || it.cancelled.Load() || j.task.Option != "" {
 		e.mu.Lock()
 		if e.needsBuffers(j) {
 			e.mu.Unlock()
@@ -261,7 +261,7 @@ func (e *engine) execReal(w *wsWorker, j job) {
 	}
 
 	if e.hooks != nil {
-		// Stretch the window between the lock-free acquired/cancelled
+		// Stretch the window between the lock-free bufs/cancelled
 		// probes above and the component's first stream access.
 		e.hooks.Yield(YieldDispatch)
 	}
@@ -356,19 +356,11 @@ func (e *engine) traceSkip(w *wsWorker, j job) {
 
 // finishReal retires a job through complete(). Errors surfacing from
 // completion (a failed reconfiguration splice) abort the run
-// explicitly; when a reconfiguration was applied, any resumed jobs are
-// queued immediately (the stall is virtual time, inert on the real
-// backend).
+// explicitly; a reconfiguration stall is virtual time, inert on the
+// real backend.
 func (e *engine) finishReal(w *wsWorker, j job) {
-	res, err := e.complete(j, w)
-	if err != nil {
+	if _, _, err := e.complete(j, w); err != nil {
 		e.failReal(err)
-		return
-	}
-	if res != nil {
-		for _, pj := range res.parked {
-			e.ws.push(w, pj)
-		}
 	}
 }
 

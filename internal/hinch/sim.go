@@ -10,13 +10,12 @@ import (
 // completion is a scheduled job-finish event in the discrete-event
 // simulation.
 type completion struct {
-	at     int64 // virtual time the event fires
-	seq    int64 // tie-breaker for determinism
-	start  int64 // virtual time the job was dispatched (trace span start)
-	core   int   // core freed by the event; -1 for reconfiguration resumes
-	ran    bool  // the job actually executed (not a zero-cost skip)
-	j      job
-	resume []job // parked jobs released after a reconfiguration stall
+	at    int64 // virtual time the event fires
+	seq   int64 // tie-breaker for determinism
+	start int64 // virtual time the job was dispatched (trace span start)
+	core  int   // core freed by the event; -1 for a reconfiguration stall
+	ran   bool  // the job actually executed (not a zero-cost skip)
+	j     job
 }
 
 type completionHeap []completion
@@ -103,11 +102,9 @@ func (e *engine) runSim() (*Report, error) {
 		// decisions are a pure function of the virtual schedule.
 		e.fireControlsSim(clock)
 		if c.core < 0 {
-			// A reconfiguration stall elapsed: the manager's subgraph
-			// resumes and the parked iterations may enter it.
-			for _, pj := range c.resume {
-				e.enqueue(nil, pj)
-			}
+			// A reconfiguration stall elapsed; popping it advanced the
+			// clock. Parked iterations re-enter through checkResumes
+			// once the pipeline has drained.
 			continue
 		}
 		idle[c.core] = true
@@ -118,13 +115,13 @@ func (e *engine) runSim() (*Report, error) {
 				Worker: int32(c.core), Iter: int32(c.j.iter), ID: int32(c.j.task.ID),
 			})
 		}
-		res, err := e.complete(c.j, nil)
+		stall, applied, err := e.complete(c.j, nil)
 		if err != nil {
 			return nil, err
 		}
-		if res != nil {
+		if applied {
 			seq++
-			heap.Push(&pending, completion{at: clock + res.stall, seq: seq, core: -1, resume: res.parked})
+			heap.Push(&pending, completion{at: clock + stall, seq: seq, core: -1})
 		}
 		if e.err != nil {
 			return nil, e.err

@@ -155,16 +155,18 @@ func (a *App) Snapshot() Snapshot {
 		}
 		s.Stages = append(s.Stages, st)
 	}
-	for i, str := range a.streamList {
-		sn := StreamSnap{
-			Name:      str.Name(),
-			Depth:     str.depth,
-			Occupancy: str.Occupancy(),
-			HighWater: str.HighWater(),
-		}
-		if tm != nil {
-			sn.Occ = tm.occ[i].snap()
-		}
+	// The engine owns the buffers: every stream has one slot per
+	// buffer set, so all streams share one occupancy.
+	sn := StreamSnap{
+		Depth:     a.cfg.PipelineDepth,
+		Occupancy: int(e.bufActive.Load()),
+		HighWater: int(e.bufHigh.Load()),
+	}
+	if tm != nil {
+		sn.Occ = tm.occ.snap()
+	}
+	for _, str := range a.streamList {
+		sn.Name = str.Name()
 		s.Streams = append(s.Streams, sn)
 	}
 	return s

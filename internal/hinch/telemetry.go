@@ -175,7 +175,10 @@ type telemetry struct {
 	nTasks int
 
 	svc []hist // (shard, task) service-time shards
-	occ []hist // per-stream occupancy, recorded at buffer acquire
+	// occ is the stream occupancy (iterations holding a buffer set),
+	// recorded at every buffer-set acquire. Every stream's occupancy
+	// is this one count, so Snapshot reports it for each stream.
+	occ hist
 
 	iterLat   hist // launch -> retire latency per iteration
 	stealTake hist // jobs moved per steal hit (real backend)
@@ -205,7 +208,6 @@ func newTelemetry(e *engine) *telemetry {
 		wall:   a.cfg.Backend == BackendReal,
 		nTasks: n,
 		svc:    make([]hist, shards*n),
-		occ:    make([]hist, len(a.streamList)),
 		wdK:    a.cfg.WatchdogEpochs,
 	}
 }
@@ -216,13 +218,6 @@ func newTelemetry(e *engine) *telemetry {
 //hinch:hotpath
 func (tm *telemetry) recordSvc(shard, task int, v int64) {
 	tm.svc[shard*tm.nTasks+task].record(v)
-}
-
-// recordOcc records a stream's occupancy after a buffer acquire.
-//
-//hinch:hotpath
-func (tm *telemetry) recordOcc(stream int, occ int64) {
-	tm.occ[stream].record(occ)
 }
 
 // stageHist merges task's per-shard service-time histograms into one

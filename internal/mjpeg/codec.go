@@ -219,6 +219,13 @@ func DecodeEntropy(data []byte) (*CoeffFrame, error) {
 		if pos+n > len(data) {
 			return nil, fmt.Errorf("mjpeg: truncated frame (plane %s data)", pl)
 		}
+		// Every block costs at least 4 bits (a DC and an AC code of 2+
+		// bits each), so a segment of n bytes holds at most 2n blocks.
+		// Checking before decodePlaneEntropy allocates the plane keeps a
+		// forged header from allocating w*h coefficients for no data.
+		if blocks := (pw / 8) * (ph / 8); blocks > 2*n {
+			return nil, fmt.Errorf("mjpeg: plane %s: %d blocks cannot fit in %d bytes", pl, blocks, n)
+		}
 		cp, stats, err := decodePlaneEntropy(data[pos:pos+n], pw, ph, pl == media.PlaneY, h.Quality)
 		if err != nil {
 			return nil, fmt.Errorf("mjpeg: plane %s: %w", pl, err)

@@ -48,7 +48,10 @@ func ReadContainer(r io.Reader) ([][]byte, error) {
 		return nil, fmt.Errorf("mjpeg: container count: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	frames := make([][]byte, 0, n)
+	// The count is untrusted: presize for at most a modest container
+	// and let append grow with the frames actually present, so a forged
+	// count cannot allocate ahead of the input.
+	frames := make([][]byte, 0, min(n, 1024))
 	// Frame buffers are carved out of a shared arena instead of
 	// allocated one make([]byte, sz) at a time: each arena chunk is
 	// sized to cover ~16 frames at the current frame size, and frames

@@ -351,6 +351,27 @@ func TestContainerRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestContainerRejectsHugeCount(t *testing.T) {
+	// Eight bytes claiming ~4G frames must fail on the missing data,
+	// not presize a slice for the claimed count.
+	if _, err := ReadContainer(bytes.NewReader([]byte("XMJ1\xff\xff\xff\xf0"))); err == nil {
+		t.Fatal("container with a forged frame count accepted")
+	}
+}
+
+func TestDecodeRejectsHugeDimensions(t *testing.T) {
+	// A 65520x65520 header over an 11-byte luma segment: the plane's
+	// 67M blocks cannot fit, so decoding must fail before allocating
+	// the coefficient plane.
+	frame := []byte("XJF1\xff\xf0\xff\xf0\x4b\x00\x00\x00\x0b0123456789a")
+	if len(frame) != 24 {
+		t.Fatalf("test frame is %d bytes, want 24", len(frame))
+	}
+	if _, err := DecodeEntropy(frame); err == nil {
+		t.Fatal("frame with forged dimensions accepted")
+	}
+}
+
 func TestDeterministicEncoding(t *testing.T) {
 	f := media.NewGenerator(48, 32, 17).Next()
 	a, _ := Encode(f, 75)
